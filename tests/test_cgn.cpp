@@ -12,6 +12,7 @@
 #include "harness/testbed.hpp"
 #include "net/checksum.hpp"
 #include "net/icmp.hpp"
+#include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "testutil.hpp"
 
@@ -259,6 +260,135 @@ TEST(CgnEngine, UnsolicitedInboundIsNotHandled) {
                      .has_value());
     EXPECT_FALSE(handled);
     EXPECT_EQ(bed.engine.stats().dropped_no_binding, 1u);
+}
+
+// --- Golden corpus: exact bytes out of the CGN's UDP/TCP translator -------
+
+namespace {
+
+std::string wire(const std::optional<net::Bytes>& b) {
+    return b ? net::hexdump(*b) : std::string("<dropped>");
+}
+
+net::Ipv4Packet tcp_pkt(net::Ipv4Addr src, std::uint16_t sport,
+                        net::Ipv4Addr dst, std::uint16_t dport,
+                        net::TcpFlags flags) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kTcp;
+    pkt.h.src = src;
+    pkt.h.dst = dst;
+    net::TcpSegment s;
+    s.src_port = sport;
+    s.dst_port = dport;
+    s.seq = 5000;
+    s.ack = flags.ack ? 9000 : 0;
+    s.flags = flags;
+    s.window = 16384;
+    s.payload = {'c'};
+    pkt.payload = s.serialize(src, dst);
+    return pkt;
+}
+
+} // namespace
+
+TEST(CgnGolden, UdpBothDirections) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto out = udp_pkt(sub, 40000, kRemote, 7000, {'u', 'p'});
+    out.h.id = 0x0102;
+    EXPECT_EQ(wire(bed.engine.outbound(out)),
+              "45 00 00 1e 01 02 00 00 3f 11 3d 8a c6 33 64 07 0a 00 09 09 2c "
+              "00 1b 58 00 0a 05 ce 75 70");
+    bool handled = false;
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  udp_pkt(kRemote, 7000, kExternal, 11264, {'d', 'n'}),
+                  handled)),
+              "45 00 00 1e 00 00 00 00 3f 11 04 82 0a 00 09 09 64 40 00 05 1b "
+              "58 9c 40 00 0a 6c 85 64 6e");
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.engine.stats().translated_out, 1u);
+    EXPECT_EQ(bed.engine.stats().translated_in, 1u);
+    EXPECT_EQ(bed.engine.live_bindings(sub), 1u);
+    // Confirmed by the inbound packet: the 120 s refresh holds it past
+    // the initial timeout, not beyond.
+    bed.loop.run_for(std::chrono::seconds(119));
+    EXPECT_EQ(bed.engine.live_bindings(sub), 1u);
+    bed.loop.run_for(std::chrono::seconds(2));
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+}
+
+TEST(CgnGolden, TcpHandshakeFinLingerAndRst) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    bool handled = false;
+    EXPECT_EQ(wire(bed.engine.outbound(
+                  tcp_pkt(sub, 41000, kRemote, 80, {.syn = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
+              "00 00 50 00 00 13 88 00 00 00 00 50 02 40 00 8f c5 00 00 63");
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  tcp_pkt(kRemote, 80, kExternal, 11264,
+                          {.syn = true, .ack = true}),
+                  handled)),
+              "45 00 00 29 00 00 00 00 3f 06 04 82 0a 00 09 09 64 40 00 05 00 "
+              "50 a0 28 00 00 13 88 00 00 23 28 50 12 40 00 be 5a 00 00 63");
+    EXPECT_EQ(wire(bed.engine.outbound(
+                  tcp_pkt(sub, 41000, kRemote, 80, {.ack = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
+              "00 00 50 00 00 13 88 00 00 23 28 50 10 40 00 6c 8f 00 00 63");
+    EXPECT_EQ(wire(bed.engine.outbound(tcp_pkt(sub, 41000, kRemote, 80,
+                                               {.ack = true, .fin = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
+              "00 00 50 00 00 13 88 00 00 23 28 50 11 40 00 6c 8e 00 00 63");
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  tcp_pkt(kRemote, 80, kExternal, 11264,
+                          {.ack = true, .fin = true}),
+                  handled)),
+              "45 00 00 29 00 00 00 00 3f 06 04 82 0a 00 09 09 64 40 00 05 00 "
+              "50 a0 28 00 00 13 88 00 00 23 28 50 11 40 00 be 5b 00 00 63");
+    // Both FINs seen: the binding lingers for tcp_fin_linger (10 s).
+    EXPECT_EQ(bed.engine.live_bindings(sub), 1u);
+    bed.loop.run_for(std::chrono::seconds(9));
+    EXPECT_EQ(bed.engine.live_bindings(sub), 1u);
+    bed.loop.run_for(std::chrono::seconds(2));
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+
+    // RST in either direction removes the binding at once.
+    EXPECT_EQ(wire(bed.engine.outbound(
+                  tcp_pkt(sub, 41001, kRemote, 80, {.syn = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
+              "01 00 50 00 00 13 88 00 00 00 00 50 02 40 00 8f c4 00 00 63");
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  tcp_pkt(kRemote, 80, kExternal, 11265, {.rst = true}),
+                  handled)),
+              "45 00 00 29 00 00 00 00 3f 06 04 82 0a 00 09 09 64 40 00 05 00 "
+              "50 a0 29 00 00 13 88 00 00 00 00 50 04 40 00 e1 8f 00 00 63");
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+    EXPECT_EQ(wire(bed.engine.outbound(
+                  tcp_pkt(sub, 41002, kRemote, 80, {.syn = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
+              "02 00 50 00 00 13 88 00 00 00 00 50 02 40 00 8f c3 00 00 63");
+    EXPECT_EQ(wire(bed.engine.outbound(
+                  tcp_pkt(sub, 41002, kRemote, 80, {.rst = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
+              "02 00 50 00 00 13 88 00 00 00 00 50 04 40 00 8f c1 00 00 63");
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+    EXPECT_EQ(bed.engine.stats().translated_out, 6u);
+    EXPECT_EQ(bed.engine.stats().translated_in, 3u);
+}
+
+TEST(CgnGolden, HairpinBytes) {
+    EngineBed bed;
+    const net::Ipv4Addr alice(100, 64, 0, 5);
+    const net::Ipv4Addr bob(100, 64, 0, 6);
+    ASSERT_TRUE(
+        bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000)).has_value());
+    auto probe = udp_pkt(bob, 41000, kExternal, 11264, {'h', 'p'});
+    probe.h.id = 9;
+    EXPECT_EQ(wire(bed.engine.hairpin(probe)),
+              "45 00 00 1e 00 09 00 00 3f 11 ed 46 c6 33 64 07 64 40 00 05 34 "
+              "00 9c 40 00 0a 38 a9 68 70");
+    EXPECT_EQ(bed.engine.live_bindings(bob), 1u);
+    EXPECT_EQ(bed.engine.stats().hairpinned, 1u);
 }
 
 // --- Satellite: embedded-quote rewriting (the double-NAT ICMP fix) --------

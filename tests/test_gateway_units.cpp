@@ -366,3 +366,228 @@ TEST(NatEngine, UnconfiguredEngineViolatesContract) {
     NatEngine nat(loop, profile);
     EXPECT_THROW(nat.outbound(udp_packet(1, 2)), gatekit::ContractViolation);
 }
+
+// --- Golden corpus: exact bytes out of the UDP/TCP translator -----------
+//
+// Pinned wire bytes and binding state for the packet shapes that need
+// more than an address/port rewrite: IP options (Record Route honored or
+// ignored, NOP/EOL padding), a UDP length shorter than the IP payload, a
+// TTL-1 packet arriving on a live binding, and hairpin. Every checksum in
+// these packets is correct on input, so the expected bytes are the same
+// whether the translator re-serializes or rewrites in place.
+
+namespace {
+
+struct NatBed {
+    sim::EventLoop loop;
+    DeviceProfile profile;
+    NatEngine nat;
+    explicit NatBed(DeviceProfile p = quick_profile())
+        : profile(std::move(p)), nat(loop, profile) {
+        nat.set_addresses(kLan, 24, kWan);
+    }
+};
+
+net::Ipv4Packet udp_reply(std::uint16_t dport, net::Bytes payload = {'r'}) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kUdp;
+    pkt.h.src = kServer;
+    pkt.h.dst = kWan;
+    pkt.h.id = 0x4242;
+    net::UdpDatagram d;
+    d.src_port = 7000;
+    d.dst_port = dport;
+    d.payload = std::move(payload);
+    pkt.payload = d.serialize(pkt.h.src, pkt.h.dst);
+    return pkt;
+}
+
+std::string wire(const std::optional<net::Bytes>& b) {
+    return b ? net::hexdump(*b) : std::string("<dropped>");
+}
+
+} // namespace
+
+TEST(NatGolden, RecordRouteFilledWhenHonored) {
+    auto profile = quick_profile();
+    profile.honor_record_route = true;
+    NatBed bed(profile);
+    auto pkt = udp_packet(40000, 7000, {'r', 'r'});
+    pkt.h.id = 0x1234;
+    pkt.h.options = net::Ipv4Packet::make_record_route_option(4);
+    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+              "4a 00 00 32 12 34 00 00 3f 11 35 5f 0a 00 01 0a 0a 00 01 01 07 "
+              "13 08 0a 00 01 0a 00 00 00 00 00 00 00 00 00 00 00 00 00 9c 40 "
+              "1b 58 00 0a bf c4 72 72");
+    auto reply = udp_reply(40000);
+    reply.h.options = net::Ipv4Packet::make_record_route_option(4);
+    bool handled = false;
+    EXPECT_EQ(wire(bed.nat.inbound(reply, handled)),
+              "4a 00 00 31 42 42 00 00 3f 11 4e 4f 0a 00 01 01 c0 a8 01 64 07 "
+              "13 08 0a 00 01 0a 00 00 00 00 00 00 00 00 00 00 00 00 00 1b 58 "
+              "9c 40 00 09 09 36 72");
+    EXPECT_TRUE(handled);
+}
+
+TEST(NatGolden, RecordRouteUntouchedWhenIgnored) {
+    NatBed bed; // honor_record_route defaults to false
+    auto pkt = udp_packet(40000, 7000, {'r', 'r'});
+    pkt.h.id = 0x1234;
+    pkt.h.options = net::Ipv4Packet::make_record_route_option(4);
+    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+              "4a 00 00 32 12 34 00 00 3f 11 43 6a 0a 00 01 0a 0a 00 01 01 07 "
+              "13 04 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 9c 40 "
+              "1b 58 00 0a bf c4 72 72");
+}
+
+TEST(NatGolden, NopEolOptionsCarriedVerbatim) {
+    NatBed bed;
+    auto pkt = udp_packet(40000, 7000, {'o'});
+    pkt.h.options = {net::ipopt::kNop, net::ipopt::kNop, net::ipopt::kNop,
+                     net::ipopt::kEnd};
+    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+              "46 00 00 21 00 00 00 00 3f 11 62 c1 0a 00 01 0a 0a 00 01 01 01 "
+              "01 01 00 9c 40 1b 58 00 09 c3 38 6f");
+
+    // A TCP SYN with a TCP option behind the same IP options.
+    net::Ipv4Packet syn;
+    syn.h.protocol = net::proto::kTcp;
+    syn.h.src = kClient;
+    syn.h.dst = kServer;
+    syn.h.options = {net::ipopt::kNop, net::ipopt::kEnd, 0x00, 0x00};
+    net::TcpSegment seg;
+    seg.src_port = 41000;
+    seg.dst_port = 80;
+    seg.seq = 0x01020304;
+    seg.flags.syn = true;
+    seg.window = 8192;
+    seg.add_mss_option(1460);
+    syn.payload = seg.serialize(syn.h.src, syn.h.dst);
+    EXPECT_EQ(wire(bed.nat.outbound(syn)),
+              "46 00 00 30 00 00 00 00 3f 06 63 be 0a 00 01 0a 0a 00 01 01 01 "
+              "00 00 00 a0 28 00 50 01 02 03 04 00 00 00 00 60 02 20 00 bd 9d "
+              "00 00 02 04 05 b4");
+}
+
+TEST(NatGolden, ShortUdpLengthTrimsTrailingBytes) {
+    NatBed bed;
+    auto pkt = udp_packet(40000, 7000, {'a', 'b', 'c'});
+    // Trailing bytes past the UDP length: not part of the datagram, so
+    // they leave the translator trimmed off.
+    pkt.payload.insert(pkt.payload.end(), {0xde, 0xad, 0xbe, 0xef});
+    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+              "45 00 00 1f 00 00 00 00 3f 11 65 c4 0a 00 01 0a 0a 00 01 01 9c "
+              "40 1b 58 00 0b 6d d2 61 62 63");
+
+    // A UDP length past the payload is malformed: dropped, no binding.
+    auto bad = udp_packet(40001, 7000, {'a', 'b', 'c'});
+    bad.payload.resize(bad.payload.size() - 2);
+    EXPECT_FALSE(bed.nat.outbound(bad).has_value());
+    EXPECT_EQ(bed.nat.udp_table().size(), 1u);
+}
+
+TEST(NatGolden, InboundTtlOneOnLiveBindingRefreshesAndRewrites) {
+    NatBed bed;
+    ASSERT_TRUE(bed.nat.outbound(udp_packet(40000, 7000)).has_value());
+    bed.loop.run_for(std::chrono::seconds(5));
+    auto reply = udp_reply(40000);
+    reply.h.ttl = 1;
+    bool handled = false;
+    // The engine translates (the caller turns TTL expiry into a Time
+    // Exceeded that quotes the untouched packet); the binding is
+    // refreshed by the inbound packet all the same.
+    EXPECT_EQ(wire(bed.nat.inbound(reply, handled)),
+              "45 00 00 1d 42 42 00 00 00 11 ab 81 0a 00 01 01 c0 a8 01 64 1b "
+              "58 9c 40 00 09 09 36 72");
+    EXPECT_TRUE(handled);
+    const Binding* b = bed.nat.udp_table().find_outbound(flow(40000));
+    ASSERT_NE(b, nullptr);
+    EXPECT_TRUE(b->confirmed);
+    EXPECT_EQ(b->packets_out, 1u);
+    EXPECT_EQ(b->packets_in, 1u);
+    EXPECT_EQ(b->external_port, 40000);
+    EXPECT_EQ(b->expires_at,
+              sim::TimePoint{} + std::chrono::seconds(5 + 60));
+}
+
+TEST(NatGolden, TcpHandshakeAndTeardownBytes) {
+    NatBed bed;
+    auto tcp = [](net::Ipv4Addr src, net::Ipv4Addr dst, std::uint16_t sp,
+                  std::uint16_t dp, net::TcpFlags f) {
+        net::Ipv4Packet p;
+        p.h.protocol = net::proto::kTcp;
+        p.h.src = src;
+        p.h.dst = dst;
+        net::TcpSegment s;
+        s.src_port = sp;
+        s.dst_port = dp;
+        s.seq = 1000;
+        s.ack = f.ack ? 2000 : 0;
+        s.flags = f;
+        s.window = 4096;
+        s.payload = {'t'};
+        p.payload = s.serialize(src, dst);
+        return p;
+    };
+    const FlowKey key{net::proto::kTcp, {kClient, 41000}, {kServer, 80}};
+    bool handled = false;
+    EXPECT_EQ(wire(bed.nat.outbound(
+                  tcp(kClient, kServer, 41000, 80, {.syn = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 65 c5 0a 00 01 0a 0a 00 01 01 a0 "
+              "28 00 50 00 00 03 e8 00 00 00 00 50 02 10 00 71 76 00 00 74");
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  tcp(kServer, kWan, 80, 41000, {.syn = true, .ack = true}),
+                  handled)),
+              "45 00 00 29 00 00 00 00 3f 06 ae c2 0a 00 01 01 c0 a8 01 64 00 "
+              "50 a0 28 00 00 03 e8 00 00 07 d0 50 12 10 00 b2 93 00 00 74");
+    EXPECT_EQ(wire(bed.nat.outbound(
+                  tcp(kClient, kServer, 41000, 80, {.ack = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 65 c5 0a 00 01 0a 0a 00 01 01 a0 "
+              "28 00 50 00 00 03 e8 00 00 07 d0 50 10 10 00 69 98 00 00 74");
+    EXPECT_TRUE(bed.nat.tcp_table().find_outbound(key)->established);
+    EXPECT_EQ(wire(bed.nat.outbound(tcp(kClient, kServer, 41000, 80,
+                                        {.ack = true, .fin = true}))),
+              "45 00 00 29 00 00 00 00 3f 06 65 c5 0a 00 01 0a 0a 00 01 01 a0 "
+              "28 00 50 00 00 03 e8 00 00 07 d0 50 11 10 00 69 97 00 00 74");
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  tcp(kServer, kWan, 80, 41000, {.ack = true, .fin = true}),
+                  handled)),
+              "45 00 00 29 00 00 00 00 3f 06 ae c2 0a 00 01 01 c0 a8 01 64 00 "
+              "50 a0 28 00 00 03 e8 00 00 07 d0 50 11 10 00 b2 94 00 00 74");
+    const Binding* b = bed.nat.tcp_table().find_outbound(key);
+    ASSERT_NE(b, nullptr);
+    EXPECT_TRUE(b->fin_in && b->fin_out);
+    EXPECT_EQ(b->expires_at, bed.loop.now() + bed.profile.tcp_fin_linger);
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  tcp(kServer, kWan, 80, 41000, {.rst = true}), handled)),
+              "45 00 00 29 00 00 00 00 3f 06 ae c2 0a 00 01 01 c0 a8 01 64 00 "
+              "50 a0 28 00 00 03 e8 00 00 00 00 50 04 10 00 ba 71 00 00 74");
+    EXPECT_EQ(bed.nat.tcp_table().size(), 0u);
+}
+
+TEST(NatGolden, HairpinBytesAndSenderBinding) {
+    auto profile = quick_profile();
+    profile.hairpin = true;
+    NatBed bed(profile);
+    ASSERT_TRUE(bed.nat.outbound(udp_packet(40000, 7000)).has_value());
+    net::Ipv4Packet probe;
+    probe.h.protocol = net::proto::kUdp;
+    probe.h.src = net::Ipv4Addr(192, 168, 1, 101);
+    probe.h.dst = kWan;
+    probe.h.id = 7;
+    net::UdpDatagram d;
+    d.src_port = 40001;
+    d.dst_port = 40000;
+    d.payload = {'h', 'p'};
+    probe.payload = d.serialize(probe.h.src, probe.h.dst);
+    EXPECT_EQ(wire(bed.nat.hairpin(probe)),
+              "45 00 00 1e 00 07 00 00 3f 11 ae b2 0a 00 01 0a c0 a8 01 64 9c "
+              "41 9c 40 00 0a 91 d1 68 70");
+    const Binding* sender = bed.nat.udp_table().find_outbound(FlowKey{
+        net::proto::kUdp, {probe.h.src, 40001}, {kWan, 40000}});
+    ASSERT_NE(sender, nullptr);
+    EXPECT_EQ(sender->external_port, 40001);
+    EXPECT_EQ(sender->packets_out, 1u);
+    EXPECT_EQ(sender->expires_at,
+              sim::TimePoint{} + std::chrono::seconds(30));
+}
