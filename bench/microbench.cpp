@@ -237,9 +237,8 @@ void BM_ForwardPipelineUdp(benchmark::State& state) {
             std::copy(wire.begin(), wire.begin() + 42, frame.begin());
         auto v = net::PacketView::parse(
             std::span<std::uint8_t>(frame.data() + 14, frame.size() - 14));
-        if (nat.outbound_fast(*v) !=
-            gateway::NatEngine::FastVerdict::kForwarded) {
-            state.SkipWithError("fast path bailed");
+        if (nat.outbound(*v) != gateway::L4Verdict::kForwarded) {
+            state.SkipWithError("translator dropped the packet");
             return;
         }
         fwd.submit(gateway::Direction::Up, v->total_len(),
@@ -287,9 +286,8 @@ void BM_ForwardPipelineUdpObserved(benchmark::State& state) {
             std::copy(wire.begin(), wire.begin() + 42, frame.begin());
         auto v = net::PacketView::parse(
             std::span<std::uint8_t>(frame.data() + 14, frame.size() - 14));
-        if (nat.outbound_fast(*v) !=
-            gateway::NatEngine::FastVerdict::kForwarded) {
-            state.SkipWithError("fast path bailed");
+        if (nat.outbound(*v) != gateway::L4Verdict::kForwarded) {
+            state.SkipWithError("translator dropped the packet");
             return;
         }
         fwd.submit(gateway::Direction::Up, v->total_len(),
@@ -332,7 +330,7 @@ void BM_NatOutboundUdp(benchmark::State& state) {
         std::copy(pristine.begin(), pristine.end(), dgram.begin());
         auto v = net::PacketView::parse(
             std::span<std::uint8_t>(dgram.data(), dgram.size()));
-        benchmark::DoNotOptimize(nat.outbound_fast(*v));
+        benchmark::DoNotOptimize(nat.outbound(*v));
     }
 }
 BENCHMARK(BM_NatOutboundUdp);
@@ -373,8 +371,8 @@ void BM_PacketPoolAcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_PacketPoolAcquireRelease);
 
 /// Single-pass ingress classification into a PacketView (offsets only,
-/// no payload copies, no checksum verification -- that stays where the
-/// legacy path does it).
+/// no payload copies, no checksum verification -- that stays with the
+/// end hosts' parsed receive path).
 void BM_ParseHeadersView(benchmark::State& state) {
     net::Ipv4Packet pkt;
     pkt.h.protocol = net::proto::kUdp;
@@ -396,8 +394,9 @@ void BM_ParseHeadersView(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseHeadersView);
 
-/// What the legacy ingress path pays for the same packet: structured
-/// IPv4 parse (payload copy) plus UDP parse with checksum verification.
+/// What the parsed ingress path (end-host stacks) pays for the same
+/// packet: structured IPv4 parse (payload copy) plus UDP parse with
+/// checksum verification.
 void BM_ParseHeadersLegacy(benchmark::State& state) {
     net::Ipv4Packet pkt;
     pkt.h.protocol = net::proto::kUdp;

@@ -2,8 +2,6 @@
 
 #include "net/checksum.hpp"
 #include "net/icmp.hpp"
-#include "net/tcp_header.hpp"
-#include "net/udp.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
@@ -140,14 +138,14 @@ CgnEngine::Slice* CgnEngine::slice_for_subscriber(net::Ipv4Addr src) {
         auto& s = blocks_[0];
         if (!s)
             s = std::make_unique<Slice>(
-                loop_, net::Ipv4Addr{}, -1,
+                loop_, net::Ipv4Addr{},
                 make_profile(cfg_.pool_begin, cfg_.pool_end));
         return s.get();
     }
     const auto info = block_of(src);
     auto& s = blocks_[static_cast<std::size_t>(info->index)];
     if (!s) {
-        s = std::make_unique<Slice>(loop_, src, info->index,
+        s = std::make_unique<Slice>(loop_, src,
                                     make_profile(info->begin, info->end));
         return s.get();
     }
@@ -172,20 +170,6 @@ CgnEngine::Slice* CgnEngine::slice_for_port(std::uint16_t external_port) {
     return blocks_[idx].get();
 }
 
-void CgnEngine::refresh_udp(Slice& s, Binding& b, bool inbound_packet) {
-    sim::Duration d = cfg_.udp.initial;
-    if (inbound_packet)
-        d = cfg_.udp.inbound_refresh;
-    else if (b.confirmed)
-        d = cfg_.udp.outbound_refresh;
-    s.udp.refresh(b, d);
-}
-
-void CgnEngine::refresh_tcp(Slice& s, Binding& b) {
-    s.tcp.refresh(b, b.established ? cfg_.tcp_established_timeout
-                                   : cfg_.tcp_transitory_timeout);
-}
-
 std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     GK_EXPECTS(configured());
     if (pkt.h.ttl <= 1) return std::nullopt; // caller emits Time Exceeded
@@ -196,7 +180,8 @@ std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
     case net::proto::kTcp:
-        return outbound_l4(pkt);
+        return translate_serialized(
+            pkt, [this](net::PacketView& v) { return translate_out(v); });
     case net::proto::kIcmp:
         return outbound_icmp(pkt);
     default:
@@ -207,70 +192,21 @@ std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     }
 }
 
-std::optional<net::Bytes> CgnEngine::outbound_l4(const net::Ipv4Packet& pkt) {
-    const bool udp = pkt.h.protocol == net::proto::kUdp;
-    net::UdpDatagram dgram;
-    net::TcpSegment seg;
-    std::uint16_t sport = 0;
-    std::uint16_t dport = 0;
-    try {
-        if (udp) {
-            dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src,
-                                            pkt.h.dst);
-            sport = dgram.src_port;
-            dport = dgram.dst_port;
-        } else {
-            seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-            sport = seg.src_port;
-            dport = seg.dst_port;
-        }
-    } catch (const net::ParseError&) {
-        return std::nullopt;
+bool CgnEngine::translate_out(net::PacketView& v) {
+    // Screened before the slice lookup: a fragment or a header that does
+    // not parse must not activate (or collide on) a subscriber's block.
+    if (const auto bad = L4Translator::screen(v)) {
+        if (*bad == L4Verdict::kFragment) ++stats_.dropped_policy;
+        return false;
     }
-
-    Slice* s = slice_for_subscriber(pkt.h.src);
-    if (s == nullptr) return std::nullopt; // block collision (counted)
-    BindingTable& table = udp ? s->udp : s->tcp;
-    const FlowKey key{pkt.h.protocol,
-                      {pkt.h.src, sport},
-                      {pkt.h.dst, dport}};
-    Binding* b = table.find_or_create_outbound(key);
-    if (b == nullptr) {
+    Slice* s = slice_for_subscriber(v.src());
+    if (s == nullptr) return false; // block collision (counted)
+    if (s->l4.outbound(v, external_addr_) != L4Verdict::kForwarded) {
         ++stats_.pool_exhausted;
-        return std::nullopt;
-    }
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = external_addr_;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-
-    if (udp) {
-        ++b->packets_out;
-        if (cfg_.udp.outbound_refreshes || b->packets_out == 1)
-            refresh_udp(*s, *b, false);
-        dgram.src_port = b->external_port;
-        out.payload = dgram.serialize(out.h.src, out.h.dst);
-        ++stats_.translated_out;
-        return out.serialize();
-    }
-
-    if (seg.flags.syn && !seg.flags.ack)
-        table.set_expiry(*b, loop_.now() + cfg_.tcp_transitory_timeout);
-    ++b->packets_out;
-    if (b->packets_in > 0 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*s, *b);
-    if (seg.flags.fin) b->fin_out = true;
-    seg.src_port = b->external_port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    auto bytes = out.serialize();
-    if (seg.flags.rst) {
-        table.remove(key); // b invalid past this point
-    } else if (b->fin_in && b->fin_out) {
-        table.set_expiry(*b, loop_.now() + cfg_.tcp_fin_linger);
+        return false;
     }
     ++stats_.translated_out;
-    return bytes;
+    return true;
 }
 
 std::optional<net::Bytes> CgnEngine::outbound_icmp(
@@ -373,7 +309,9 @@ std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
     case net::proto::kTcp:
-        return inbound_l4(pkt, handled);
+        return translate_serialized(pkt, [&](net::PacketView& v) {
+            return translate_in(v, handled);
+        });
     case net::proto::kIcmp:
         return inbound_icmp(pkt, handled);
     default:
@@ -381,68 +319,23 @@ std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
     }
 }
 
-std::optional<net::Bytes> CgnEngine::inbound_l4(const net::Ipv4Packet& pkt,
-                                                bool& handled) {
-    const bool udp = pkt.h.protocol == net::proto::kUdp;
-    net::UdpDatagram dgram;
-    net::TcpSegment seg;
-    std::uint16_t sport = 0;
-    std::uint16_t dport = 0;
-    try {
-        if (udp) {
-            dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src,
-                                            pkt.h.dst);
-            sport = dgram.src_port;
-            dport = dgram.dst_port;
-        } else {
-            seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-            sport = seg.src_port;
-            dport = seg.dst_port;
+bool CgnEngine::translate_in(net::PacketView& v, bool& handled) {
+    if (const auto bad = L4Translator::screen(v)) {
+        if (*bad == L4Verdict::kFragment) {
+            handled = true;
+            ++stats_.dropped_policy;
         }
-    } catch (const net::ParseError&) {
-        return std::nullopt;
+        return false; // an unparseable header is for the CGN's own stack
     }
-
-    Slice* s = slice_for_port(dport);
-    if (s == nullptr) return std::nullopt; // outside the pool: host-local
-    BindingTable& table = udp ? s->udp : s->tcp;
-    Binding* b = table.find_inbound(dport, {pkt.h.src, sport});
-    if (b == nullptr) {
+    Slice* s = slice_for_port(v.dst_port());
+    if (s == nullptr) return false; // outside the pool: host-local
+    if (s->l4.inbound(v, external_addr_) != L4Verdict::kForwarded) {
         ++stats_.dropped_no_binding;
-        return std::nullopt; // unsolicited: falls to the CGN's own stack
+        return false; // unsolicited: falls to the CGN's own stack
     }
     handled = true;
-    ++b->packets_in;
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.dst = b->key.internal.addr;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-
-    if (udp) {
-        const bool first_inbound = !b->confirmed;
-        b->confirmed = true;
-        if (cfg_.udp.inbound_refreshes || first_inbound)
-            refresh_udp(*s, *b, true);
-        dgram.dst_port = b->key.internal.port;
-        out.payload = dgram.serialize(out.h.src, out.h.dst);
-        ++stats_.translated_in;
-        return out.serialize();
-    }
-
-    if (b->packets_out > 1 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*s, *b);
-    if (seg.flags.fin) b->fin_in = true;
-    seg.dst_port = b->key.internal.port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    const auto bytes = out.serialize();
-    if (seg.flags.rst) {
-        table.remove(b->key); // b invalid past this point
-    } else if (b->fin_in && b->fin_out) {
-        table.set_expiry(*b, loop_.now() + cfg_.tcp_fin_linger);
-    }
     ++stats_.translated_in;
-    return bytes;
+    return true;
 }
 
 std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
@@ -551,40 +444,22 @@ std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
     GK_EXPECTS(configured());
     if (!cfg_.hairpin || pkt.h.protocol != net::proto::kUdp)
         return std::nullopt;
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    Slice* ts = slice_for_port(dgram.dst_port);
-    Binding* target =
-        ts != nullptr ? ts->udp.find_by_external(dgram.dst_port) : nullptr;
-    if (target == nullptr) return std::nullopt;
-
-    Slice* ss = slice_for_subscriber(pkt.h.src);
-    if (ss == nullptr) return std::nullopt;
-    const FlowKey key{net::proto::kUdp,
-                      {pkt.h.src, dgram.src_port},
-                      {external_addr_, dgram.dst_port}};
-    Binding* sender = ss->udp.find_or_create_outbound(key);
-    if (sender == nullptr) {
-        ++stats_.pool_exhausted;
-        return std::nullopt;
-    }
-    ++sender->packets_out;
-    refresh_udp(*ss, *sender, false);
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = external_addr_;
-    out.h.dst = target->key.internal.addr;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-    dgram.src_port = sender->external_port;
-    dgram.dst_port = target->key.internal.port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    ++stats_.hairpinned;
-    return out.serialize();
+    return translate_serialized(pkt, [this](net::PacketView& v) {
+        if (L4Translator::screen(v)) return false;
+        Slice* ts = slice_for_port(v.dst_port());
+        const Binding* target =
+            ts != nullptr ? ts->udp.find_by_external(v.dst_port()) : nullptr;
+        if (target == nullptr) return false;
+        Slice* ss = slice_for_subscriber(v.src());
+        if (ss == nullptr) return false;
+        if (ss->l4.hairpin(v, external_addr_, target->key.internal) !=
+            L4Verdict::kForwarded) {
+            ++stats_.pool_exhausted;
+            return false;
+        }
+        ++stats_.hairpinned;
+        return true;
+    });
 }
 
 std::size_t CgnEngine::live_bindings(net::Ipv4Addr subscriber) {

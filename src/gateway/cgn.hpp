@@ -9,10 +9,10 @@
 // TTL is decremented per hop. Its knobs are the deployment parameters an
 // operator chooses: the port pool, the per-subscriber block carve
 // (RFC 7422 deterministic NAT), EIM vs. EDM mapping, and hairpinning.
-// The engine reuses the BindingTable slab/timer-wheel machinery (one
-// UDP + TCP table pair per subscriber block, or one shared pair), and
-// the gateway's datapath rides the same Host/NetIf packet-pool stack as
-// every other device.
+// UDP/TCP go through the same L4Translator as every home gateway: each
+// subscriber block (or the one shared pool) is a UDP + TCP BindingTable
+// pair driven by an all-correct DeviceProfile. The gateway's datapath
+// rides the same Host/NetIf packet-pool stack as every other device.
 #pragma once
 
 #include <functional>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "gateway/binding_table.hpp"
+#include "gateway/l4_translator.hpp"
 #include "gateway/profile.hpp"
 #include "stack/dhcp_service.hpp"
 #include "stack/host.hpp"
@@ -126,18 +127,18 @@ public:
 
 private:
     /// One port block's translation state. In shared-pool mode a single
-    /// instance (block -1, full pool) carries every subscriber — FlowKey
+    /// instance (no owner, full pool) carries every subscriber — FlowKey
     /// internals keep them apart, but they compete for ports.
     struct Slice {
         net::Ipv4Addr owner; ///< unspecified in shared mode
-        int block = -1;
-        DeviceProfile prof; ///< stable: the tables hold a reference
+        DeviceProfile prof;  ///< stable: tables and translator refer to it
         BindingTable udp;
         BindingTable tcp;
-        Slice(sim::EventLoop& loop, net::Ipv4Addr a, int blk,
-              DeviceProfile p)
-            : owner(a), block(blk), prof(std::move(p)),
-              udp(loop, prof, 17), tcp(loop, prof, 6) {}
+        L4Translator l4;
+        Slice(sim::EventLoop& loop, net::Ipv4Addr a, DeviceProfile p)
+            : owner(a), prof(std::move(p)),
+              udp(loop, prof, 17), tcp(loop, prof, 6),
+              l4(loop, prof, udp, tcp) {}
     };
 
     Slice* slice_for_subscriber(net::Ipv4Addr src);
@@ -147,14 +148,13 @@ private:
         return a.same_subnet(access_addr_, access_prefix_len_);
     }
 
-    std::optional<net::Bytes> outbound_l4(const net::Ipv4Packet& pkt);
+    /// UDP/TCP in place through the subscriber's (or the destination
+    /// port's) slice; the verdicts land in stats_.
+    bool translate_out(net::PacketView& v);
+    bool translate_in(net::PacketView& v, bool& handled);
     std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound_l4(const net::Ipv4Packet& pkt,
-                                         bool& handled);
     std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
                                            bool& handled);
-    void refresh_udp(Slice& s, Binding& b, bool inbound_packet);
-    void refresh_tcp(Slice& s, Binding& b);
 
     sim::EventLoop& loop_;
     CgnConfig cfg_;

@@ -6,34 +6,6 @@
 
 namespace gatekit::gateway {
 
-namespace {
-
-/// Filter key for the legacy (parsed-packet) path, matching
-/// RuleChain::key_of(PacketView) exactly: ports are present only for
-/// non-fragment UDP/TCP whose transport geometry is sound.
-RuleChain::Key filter_key_of(const net::Ipv4Packet& pkt) {
-    RuleChain::Key k{pkt.h.protocol, pkt.h.src.value(), pkt.h.dst.value(), 0,
-                     0};
-    if (pkt.h.more_fragments || pkt.h.frag_offset != 0) return k;
-    const auto& p = pkt.payload;
-    bool have_ports = false;
-    if (pkt.h.protocol == net::proto::kUdp && p.size() >= 8) {
-        const std::size_t udp_len =
-            static_cast<std::size_t>((p[4] << 8) | p[5]);
-        have_ports = udp_len == p.size();
-    } else if (pkt.h.protocol == net::proto::kTcp && p.size() >= 20) {
-        const std::size_t doff = static_cast<std::size_t>(p[12] >> 4) * 4;
-        have_ports = doff >= 20 && doff <= p.size();
-    }
-    if (have_ports) {
-        k.sport = static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-        k.dport = static_cast<std::uint16_t>((p[2] << 8) | p[3]);
-    }
-    return k;
-}
-
-} // namespace
-
 HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
     : loop_(loop), config_(std::move(config)),
       host_(loop, "gw-" + config_.profile.tag,
@@ -50,7 +22,6 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
 
     for (const Rule& r : config_.profile.firewall_rules)
         filter_.add_rule(r);
-    filter_compiled_ = config_.profile.firewall_compiled;
 
     // Datapath hooks: LAN->WAN via the forward hook (dst is never local),
     // WAN->LAN via local intercept (inbound packets target the WAN addr).
@@ -106,11 +77,9 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
         }
         return false;
     });
-    install_fast_hooks();
-}
-
-void HomeGateway::install_fast_hooks() {
-    if (!config_.enable_fast_path) return;
+    // Zero-copy datapath: UDP/TCP in untagged unicast frames to the
+    // gateway's own MACs is translated in place and forwarded in the
+    // same buffer.
     host_.nic().set_fast_ip_hook(
         [this](net::PacketView& v, sim::Frame& f) {
             return fast_from_lan(v, f);
@@ -122,8 +91,9 @@ void HomeGateway::install_fast_hooks() {
 }
 
 bool HomeGateway::filter_pass(const RuleChain::Key& key) {
-    const RuleVerdict v = filter_compiled_ ? filter_.evaluate_compiled(key)
-                                           : filter_.evaluate(key);
+    const RuleVerdict v = config_.profile.firewall_compiled
+                              ? filter_.evaluate_compiled(key)
+                              : filter_.evaluate(key);
     return v == RuleVerdict::kAccept;
 }
 
@@ -133,33 +103,35 @@ static bool filter_active(const RuleChain& f) {
     return !f.empty() || f.default_verdict() != RuleVerdict::kAccept;
 }
 
+static bool is_udp_or_tcp(std::uint8_t proto) {
+    return proto == net::proto::kUdp || proto == net::proto::kTcp;
+}
+
+bool HomeGateway::lan_to_wan(net::PacketView& v) {
+    // FORWARD chain first, pre-SNAT (the internal view of the flow).
+    return (!filter_active(filter_) || filter_pass(RuleChain::key_of(v))) &&
+           nat_.outbound(v) == L4Verdict::kForwarded;
+}
+
 bool HomeGateway::fast_from_lan(net::PacketView& v, sim::Frame& frame) {
-    // Both legacy hooks swallow all traffic during a fault stall.
+    // Both parsed-path hooks swallow all traffic during a fault stall.
     if (stalled()) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured()) return false;
+    // ICMP and other transports take the parsed path (on_lan_ip).
+    if (!nat_.configured() || !is_udp_or_tcp(v.protocol())) return false;
     const net::Ipv4Addr dst = v.dst();
     if (dst.is_broadcast() || host_.is_local_addr(dst))
-        return false; // gateway-local / hairpin: legacy delivery path
-    // Rule out a kSlow replay before the filter sees the packet — a
-    // replay would walk the chain a second time and double its counters.
-    if (!NatEngine::fast_eligible(v)) return false;
+        return false; // gateway-local / hairpin: parsed delivery path
     // TTL expiry needs the pristine parsed packet for the ICMP quote:
-    // defer to the legacy path before anything rewrites the frame.
+    // defer to on_lan_ip before anything rewrites the frame.
     if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
-    if (filter_active(filter_) && !filter_pass(RuleChain::key_of(v))) {
+    if (!lan_to_wan(v)) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
-    const auto verdict = nat_.outbound_fast(v);
-    if (verdict == NatEngine::FastVerdict::kSlow) return false;
-    if (verdict == NatEngine::FastVerdict::kDropped) {
-        host_.nic().pool().release(std::move(frame));
-        return true;
-    }
-    frame.resize(14u + v.total_len()); // shed any trailing link padding
+    frame.resize(14u + v.total_len()); // shed trailing bytes and padding
     fwd_.submit(Direction::Up, v.total_len(),
                 [this, f = std::move(frame), dst]() mutable {
                     emit_wan_frame(std::move(f), dst);
@@ -172,21 +144,27 @@ bool HomeGateway::fast_from_wan(net::PacketView& v, sim::Frame& frame) {
         wan_nic_.pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured()) return false;
+    if (!nat_.configured() || !is_udp_or_tcp(v.protocol())) return false;
     const net::Ipv4Addr wire_dst = v.dst();
     if (wire_dst.is_broadcast() || !host_.is_local_addr(wire_dst))
-        return false; // plain-router fallback (or not ours): legacy
-    if (!NatEngine::fast_eligible(v)) return false;
-    // Same deferral as the LAN side: an expiring TTL must reach the
-    // legacy path unrewritten so the Time Exceeded quote is faithful.
+        return false; // plain-router fallback (or not ours)
+    // Same deferral as the LAN side: an expiring TTL must reach
+    // on_wan_local unrewritten so the Time Exceeded quote is faithful.
     if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
-    bool handled = false;
-    const auto verdict = nat_.inbound_fast(v, handled);
-    if (verdict == NatEngine::FastVerdict::kSlow)
-        return false; // unknown flow: gateway-local delivery via legacy
-    // Like the legacy path, the FORWARD chain sees the internal (post-
-    // DNAT) view of the flow.
-    if (verdict == NatEngine::FastVerdict::kDropped ||
+    const L4Verdict verdict = nat_.inbound(v);
+    if (verdict == L4Verdict::kNotOurs) {
+        // Gateway-local traffic (DHCP, DNS, unsolicited packets): straight
+        // to the gateway's own stack, without the local intercept looking
+        // the flow up a second time.
+        const std::span<const std::uint8_t> dgram(frame.data() + 14,
+                                                  frame.size() - 14);
+        host_.deliver_to_stack(wan_if_, net::Ipv4Packet::parse(dgram),
+                               dgram);
+        wan_nic_.pool().release(std::move(frame));
+        return true;
+    }
+    // The FORWARD chain sees the internal (post-DNAT) view of the flow.
+    if (verdict != L4Verdict::kForwarded ||
         (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))) {
         wan_nic_.pool().release(std::move(frame));
         return true;
@@ -319,14 +297,22 @@ void HomeGateway::on_lan_ip(stack::Iface&, const net::Ipv4Packet& pkt) {
         ttl_expired(pkt);
         return;
     }
-    if (filter_active(filter_) && !filter_pass(filter_key_of(pkt)))
-        return; // FORWARD chain, pre-SNAT (internal view of the flow)
     // Outbound translation never rewrites the destination, so route on
     // the ingress parse instead of re-reading the header out of the
     // rewritten bytes — drop accounting and forwarding then agree on
     // one view of the packet.
     const auto dst = pkt.h.dst;
-    auto out = nat_.outbound(pkt);
+    std::optional<net::Bytes> out;
+    if (is_udp_or_tcp(pkt.h.protocol)) {
+        // A frame the zero-copy hook did not take (one not sent to the
+        // gateway's MAC) takes the same steps on a serialized copy.
+        out = translate_serialized(
+            pkt, [this](net::PacketView& v) { return lan_to_wan(v); });
+    } else if (!filter_active(filter_) ||
+               filter_pass({pkt.h.protocol, pkt.h.src.value(),
+                            pkt.h.dst.value(), 0, 0})) {
+        out = nat_.outbound(pkt); // no ports for the chain to match
+    }
     if (!out) return;
     // Read the size before the lambda capture moves the buffer out.
     const std::size_t len = out->size();

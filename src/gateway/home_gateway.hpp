@@ -39,12 +39,6 @@ public:
         net::Ipv4Addr lan_pool_base{192, 168, 1, 100};
         /// Base index for deterministic MAC assignment.
         std::uint32_t mac_index = 1000;
-        /// Zero-copy datapath: untagged unicast IPv4 frames to the
-        /// gateway's own MAC are translated in place and forwarded
-        /// without the parse/serialize round trip. Off forces every
-        /// packet through the legacy path (equivalence tests rely on
-        /// the two producing byte-identical wire traffic).
-        bool enable_fast_path = true;
     };
 
     HomeGateway(sim::EventLoop& loop, Config config);
@@ -95,14 +89,12 @@ public:
     /// router fallback bypass it. An empty chain with an ACCEPT default
     /// costs nothing and bumps no counters.
     RuleChain& filter() { return filter_; }
-    /// Evaluate the filter via the compiled single-pass classifier
-    /// instead of the sequential first-match walk (verdicts identical).
-    void set_filter_compiled(bool on) { filter_compiled_ = on; }
 
 private:
-    void install_fast_hooks();
     bool fast_from_lan(net::PacketView& v, sim::Frame& frame);
     bool fast_from_wan(net::PacketView& v, sim::Frame& frame);
+    /// FORWARD chain plus outbound translation for one UDP/TCP view.
+    bool lan_to_wan(net::PacketView& v);
     void emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst);
     void emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst);
     bool filter_pass(const RuleChain::Key& key);
@@ -126,7 +118,6 @@ private:
     NatEngine nat_;
     FwdPath fwd_;
     RuleChain filter_;
-    bool filter_compiled_ = false;
     DnsProxy dns_proxy_;
     std::unique_ptr<stack::DhcpClient> wan_dhcp_;
     std::unique_ptr<stack::DhcpServer> lan_dhcp_;

@@ -2,7 +2,6 @@
 
 #include "net/checksum.hpp"
 #include "net/tcp_header.hpp"
-#include "net/udp.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
@@ -32,7 +31,7 @@ void prune_expired(Map& m, sim::TimePoint now) {
 
 NatEngine::NatEngine(sim::EventLoop& loop, const DeviceProfile& profile)
     : loop_(loop), profile_(profile), udp_(loop, profile, net::proto::kUdp),
-      tcp_(loop, profile, net::proto::kTcp) {}
+      tcp_(loop, profile, net::proto::kTcp), l4_(loop, profile, udp_, tcp_) {}
 
 void NatEngine::set_addresses(net::Ipv4Addr lan_addr, int lan_prefix_len,
                               net::Ipv4Addr wan_addr) {
@@ -54,30 +53,6 @@ net::Ipv4Packet NatEngine::translated_header(const net::Ipv4Packet& pkt,
     return out;
 }
 
-sim::Duration NatEngine::udp_timeout_for(const Binding& b,
-                                         bool inbound_packet,
-                                         std::uint16_t service_port) const {
-    const auto granted = [this](sim::Duration d) {
-        obs::observe(m_to_granted_ns_, static_cast<double>(d.count()));
-        return d;
-    };
-    auto it = profile_.udp.per_service.find(service_port);
-    if (it != profile_.udp.per_service.end()) {
-        obs::inc(m_to_per_service_);
-        return granted(it->second);
-    }
-    if (inbound_packet) {
-        obs::inc(m_to_inbound_);
-        return granted(profile_.udp.inbound_refresh);
-    }
-    if (b.confirmed) {
-        obs::inc(m_to_outbound_);
-        return granted(profile_.udp.outbound_refresh);
-    }
-    obs::inc(m_to_initial_);
-    return granted(profile_.udp.initial);
-}
-
 void NatEngine::bind_observability(obs::MetricsRegistry& reg,
                                    const std::string& device) {
     udp_.bind_observability(reg, device);
@@ -93,14 +68,7 @@ void NatEngine::bind_observability(obs::MetricsRegistry& reg,
     m_wan_syn_dropped_ = reg.counter("nat.wan_syn.dropped", labels);
     m_wan_syn_tarpitted_ = reg.counter("nat.wan_syn.tarpitted", labels);
     m_wan_stray_dropped_ = reg.counter("nat.wan_syn.stray_dropped", labels);
-    m_to_per_service_ = reg.counter("nat.timeout.per_service", labels);
-    m_to_inbound_ = reg.counter("nat.timeout.inbound_refresh", labels);
-    m_to_outbound_ = reg.counter("nat.timeout.outbound_refresh", labels);
-    m_to_initial_ = reg.counter("nat.timeout.initial", labels);
-    // Distribution of the UDP timeout actually granted per refresh, in
-    // ns — the policy counters say which rule fired, the sketch says
-    // what the population of granted lifetimes looks like.
-    m_to_granted_ns_ = reg.log_histogram("nat.timeout.granted_ns", labels);
+    l4_.bind_observability(reg, device);
 }
 
 std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
@@ -108,9 +76,10 @@ std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
     if (profile_.decrement_ttl && pkt.h.ttl <= 1) return std::nullopt;
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
-        return outbound_udp(pkt);
     case net::proto::kTcp:
-        return outbound_tcp(pkt);
+        return translate_serialized(pkt, [this](net::PacketView& v) {
+            return outbound(v) == L4Verdict::kForwarded;
+        });
     case net::proto::kIcmp:
         return outbound_icmp(pkt);
     default:
@@ -118,187 +87,44 @@ std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
     }
 }
 
-NatEngine::FastVerdict NatEngine::outbound_fast(net::PacketView& v) {
+L4Verdict NatEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    // Anything the legacy path treats specially goes back through it:
-    // IP options (record-route handling), fragments, transports other
-    // than plain UDP/TCP, L4 geometry the legacy serializer would trim
-    // or reject, and checksum-less UDP (re-serialization computes a
-    // fresh checksum; an in-place rewrite cannot). None of these checks
-    // touch translation state, so a kSlow replay is exact.
-    if (v.has_options() || v.is_fragment() || !v.has_l4() ||
-        v.l4_checksum_disabled())
-        return FastVerdict::kSlow;
-    if (profile_.decrement_ttl && v.ttl() <= 1)
-        return FastVerdict::kDropped; // outbound(): pre-dispatch TTL drop
-    const bool udp = v.protocol() == net::proto::kUdp;
-    BindingTable& table = udp ? udp_ : tcp_;
-    const FlowKey key{v.protocol(),
-                      {v.src(), v.src_port()},
-                      {v.dst(), v.dst_port()}};
-    Binding* b = table.find_or_create_outbound(key);
-    if (b == nullptr) {
-        ++stats_.dropped_capacity;
-        obs::inc(m_drop_capacity_);
-        return FastVerdict::kDropped;
-    }
-    if (udp) {
-        ++b->packets_out;
-        if (profile_.udp.outbound_refreshes || b->packets_out == 1)
-            udp_.refresh(*b, udp_timeout_for(*b, false, key.remote.port));
-    } else {
-        const std::uint8_t flags = v.tcp_flags();
-        const bool syn = (flags & 0x02) != 0;
-        if (syn && (flags & 0x10) == 0)
-            tcp_.set_expiry(*b,
-                            loop_.now() + profile_.tcp_transitory_timeout);
-        ++b->packets_out;
-        if (b->packets_in > 0 && !syn) b->established = true;
-        refresh_tcp(*b);
-        if ((flags & 0x01) != 0) b->fin_out = true;
-    }
-    v.set_src(wan_addr_);
-    v.set_src_port(b->external_port);
-    if (profile_.decrement_ttl) v.decrement_ttl();
-    if (!udp) {
-        const std::uint8_t flags = v.tcp_flags();
-        if ((flags & 0x04) != 0) {
-            tcp_.remove(key); // b invalid past this point
-        } else if (b->fin_in && b->fin_out) {
-            tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-        }
-    }
-    return FastVerdict::kForwarded;
+    const L4Verdict verdict = l4_.outbound(v, wan_addr_);
+    if (verdict != L4Verdict::kForwarded) count_drop(verdict);
+    return verdict;
 }
 
-NatEngine::FastVerdict NatEngine::inbound_fast(net::PacketView& v,
-                                               bool& handled) {
+L4Verdict NatEngine::inbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    handled = false;
-    if (v.has_options() || v.is_fragment() || !v.has_l4() ||
-        v.l4_checksum_disabled())
-        return FastVerdict::kSlow;
-    const bool udp = v.protocol() == net::proto::kUdp;
-    BindingTable& table = udp ? udp_ : tcp_;
-    // Mirror of inbound_tcp()'s unsolicited-SYN policy and strict
-    // handshake tracking; one untaken branch per TCP packet while the
-    // knob stays at Forward.
-    if (!udp && profile_.wan_syn_policy != WanSynPolicy::Forward) {
-        const std::uint8_t flags = v.tcp_flags();
-        if ((flags & 0x02) != 0 && (flags & 0x10) == 0) {
-            handled = true;
-            if (profile_.wan_syn_policy == WanSynPolicy::Tarpit) {
-                ++stats_.wan_syn_tarpitted;
-                obs::inc(m_wan_syn_tarpitted_);
-            } else {
-                ++stats_.wan_syn_dropped;
-                obs::inc(m_wan_syn_dropped_);
-            }
-            return FastVerdict::kDropped;
-        }
-    }
-    Binding* b = table.find_inbound(v.dst_port(), {v.src(), v.src_port()});
-    if (b == nullptr) return FastVerdict::kSlow; // maybe gateway-local
-    if (!udp && profile_.wan_syn_policy != WanSynPolicy::Forward) {
-        const std::uint8_t flags = v.tcp_flags();
-        const bool synack = (flags & 0x12) == 0x12;
-        if (!b->established && !b->synack_in && !synack) {
-            handled = true;
-            ++stats_.wan_stray_dropped;
-            obs::inc(m_wan_stray_dropped_);
-            return FastVerdict::kDropped;
-        }
-        if (synack) b->synack_in = true;
-    }
-    handled = true;
-    ++b->packets_in;
-    if (udp) {
-        const bool first_inbound = !b->confirmed;
-        b->confirmed = true;
-        if (profile_.udp.inbound_refreshes || first_inbound)
-            udp_.refresh(*b, udp_timeout_for(*b, true, b->key.remote.port));
-    } else {
-        const std::uint8_t flags = v.tcp_flags();
-        // Mirror of inbound_tcp(): only non-SYN traffic past the
-        // handshake promotes to the established timeout.
-        if (b->packets_out > 1 && (flags & 0x02) == 0) b->established = true;
-        refresh_tcp(*b);
-        if ((flags & 0x01) != 0) b->fin_in = true;
-    }
-    v.set_dst(b->key.internal.addr);
-    v.set_dst_port(b->key.internal.port);
-    if (profile_.decrement_ttl) v.decrement_ttl();
-    if (!udp) {
-        const std::uint8_t flags = v.tcp_flags();
-        if ((flags & 0x04) != 0) {
-            tcp_.remove(b->key); // b invalid past this point
-        } else if (b->fin_in && b->fin_out) {
-            tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-        }
-    }
-    return FastVerdict::kForwarded;
+    const L4Verdict verdict = l4_.inbound(v, wan_addr_);
+    if (verdict != L4Verdict::kForwarded) count_drop(verdict);
+    return verdict;
 }
 
-std::optional<net::Bytes> NatEngine::outbound_udp(const net::Ipv4Packet& pkt) {
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
+void NatEngine::count_drop(L4Verdict v) {
+    const auto bump = [](std::uint64_t& n, obs::Counter* c) {
+        ++n;
+        obs::inc(c);
+    };
+    switch (v) {
+    case L4Verdict::kNoCapacity:
+        bump(stats_.dropped_capacity, m_drop_capacity_);
+        break;
+    case L4Verdict::kFragment:
+        bump(stats_.dropped_policy, m_drop_policy_);
+        break;
+    case L4Verdict::kSynDropped:
+        bump(stats_.wan_syn_dropped, m_wan_syn_dropped_);
+        break;
+    case L4Verdict::kSynTarpitted:
+        bump(stats_.wan_syn_tarpitted, m_wan_syn_tarpitted_);
+        break;
+    case L4Verdict::kStrayDropped:
+        bump(stats_.wan_stray_dropped, m_wan_stray_dropped_);
+        break;
+    default:
+        break;
     }
-    const FlowKey key{net::proto::kUdp,
-                      {pkt.h.src, dgram.src_port},
-                      {pkt.h.dst, dgram.dst_port}};
-    Binding* b = udp_.find_or_create_outbound(key);
-    if (b == nullptr) {
-        ++stats_.dropped_capacity;
-        obs::inc(m_drop_capacity_);
-        return std::nullopt;
-    }
-    ++b->packets_out;
-    if (profile_.udp.outbound_refreshes || b->packets_out == 1)
-        udp_.refresh(*b, udp_timeout_for(*b, false, key.remote.port));
-
-    auto out = translated_header(pkt, wan_addr_, pkt.h.dst);
-    dgram.src_port = b->external_port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    return out.serialize();
-}
-
-std::optional<net::Bytes> NatEngine::outbound_tcp(const net::Ipv4Packet& pkt) {
-    net::TcpSegment seg;
-    try {
-        seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    const FlowKey key{net::proto::kTcp,
-                      {pkt.h.src, seg.src_port},
-                      {pkt.h.dst, seg.dst_port}};
-    Binding* b = tcp_.find_or_create_outbound(key);
-    if (b == nullptr) {
-        ++stats_.dropped_capacity;
-        obs::inc(m_drop_capacity_);
-        return std::nullopt;
-    }
-    if (seg.flags.syn && !seg.flags.ack)
-        tcp_.set_expiry(*b, loop_.now() + profile_.tcp_transitory_timeout);
-    ++b->packets_out;
-    if (b->packets_in > 0 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*b);
-    if (seg.flags.fin) b->fin_out = true;
-
-    auto out = translated_header(pkt, wan_addr_, pkt.h.dst);
-    seg.src_port = b->external_port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    const auto bytes = out.serialize();
-
-    if (seg.flags.rst) {
-        tcp_.remove(key);
-    } else if (b->fin_in && b->fin_out) {
-        tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-    }
-    return bytes;
 }
 
 void NatEngine::flush() {
@@ -306,11 +132,6 @@ void NatEngine::flush() {
     tcp_.clear();
     icmp_queries_.clear();
     ip_only_.clear();
-}
-
-void NatEngine::refresh_tcp(Binding& b) {
-    tcp_.refresh(b, b.established ? profile_.tcp_established_timeout
-                                  : profile_.tcp_transitory_timeout);
 }
 
 std::optional<net::Bytes> NatEngine::outbound_icmp(
@@ -386,30 +207,13 @@ std::optional<net::Bytes> NatEngine::outbound_unknown(
 std::optional<net::Bytes> NatEngine::hairpin(const net::Ipv4Packet& pkt) {
     if (!profile_.hairpin || pkt.h.protocol != net::proto::kUdp)
         return std::nullopt;
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    Binding* target = udp_.find_by_external(dgram.dst_port);
-    if (target == nullptr) return std::nullopt;
-
-    // The sender gets its own external mapping too, so the target sees
-    // hairpinned traffic from the same endpoint an outside peer would.
-    const FlowKey key{net::proto::kUdp,
-                      {pkt.h.src, dgram.src_port},
-                      {wan_addr_, dgram.dst_port}};
-    Binding* sender = udp_.find_or_create_outbound(key);
-    if (sender == nullptr) return std::nullopt;
-    ++sender->packets_out;
-    udp_.refresh(*sender, udp_timeout_for(*sender, false, dgram.dst_port));
-
-    auto out = translated_header(pkt, wan_addr_, target->key.internal.addr);
-    dgram.src_port = sender->external_port;
-    dgram.dst_port = target->key.internal.port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    return out.serialize();
+    return translate_serialized(pkt, [this](net::PacketView& v) {
+        if (L4Translator::screen(v)) return false;
+        const Binding* target = udp_.find_by_external(v.dst_port());
+        return target != nullptr &&
+               l4_.hairpin(v, wan_addr_, target->key.internal) ==
+                   L4Verdict::kForwarded;
+    });
 }
 
 std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
@@ -418,97 +222,17 @@ std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
     handled = false;
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
-        return inbound_udp(pkt, handled);
     case net::proto::kTcp:
-        return inbound_tcp(pkt, handled);
+        return translate_serialized(pkt, [&](net::PacketView& v) {
+            const L4Verdict verdict = inbound(v);
+            handled = verdict != L4Verdict::kNotOurs;
+            return verdict == L4Verdict::kForwarded;
+        });
     case net::proto::kIcmp:
         return inbound_icmp(pkt, handled);
     default:
         return inbound_unknown(pkt, handled);
     }
-}
-
-std::optional<net::Bytes> NatEngine::inbound_udp(const net::Ipv4Packet& pkt,
-                                                 bool& handled) {
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    Binding* b = udp_.find_inbound(dgram.dst_port,
-                                   {pkt.h.src, dgram.src_port});
-    if (b == nullptr) return std::nullopt; // not ours: maybe gateway-local
-    handled = true;
-    ++b->packets_in;
-    const bool first_inbound = !b->confirmed;
-    b->confirmed = true;
-    if (profile_.udp.inbound_refreshes || first_inbound)
-        udp_.refresh(*b, udp_timeout_for(*b, true, b->key.remote.port));
-
-    auto out = translated_header(pkt, pkt.h.src, b->key.internal.addr);
-    dgram.dst_port = b->key.internal.port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    return out.serialize();
-}
-
-std::optional<net::Bytes> NatEngine::inbound_tcp(const net::Ipv4Packet& pkt,
-                                                 bool& handled) {
-    net::TcpSegment seg;
-    try {
-        seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    // Unsolicited-SYN policy: Drop/Tarpit devices swallow any inbound
-    // plain SYN before it can touch binding state or draw a gateway-
-    // local RST, and additionally track the handshake strictly: until a
-    // binding has seen an inbound SYN-ACK (or is established), nothing
-    // else from the WAN is accepted on it. Forward (every calibrated
-    // device) takes neither branch.
-    if (profile_.wan_syn_policy != WanSynPolicy::Forward &&
-        seg.flags.syn && !seg.flags.ack) {
-        handled = true;
-        if (profile_.wan_syn_policy == WanSynPolicy::Tarpit) {
-            ++stats_.wan_syn_tarpitted;
-            obs::inc(m_wan_syn_tarpitted_);
-        } else {
-            ++stats_.wan_syn_dropped;
-            obs::inc(m_wan_syn_dropped_);
-        }
-        return std::nullopt;
-    }
-    Binding* b = tcp_.find_inbound(seg.dst_port, {pkt.h.src, seg.src_port});
-    if (b == nullptr) return std::nullopt;
-    handled = true;
-    if (profile_.wan_syn_policy != WanSynPolicy::Forward) {
-        const bool synack = seg.flags.syn && seg.flags.ack;
-        if (!b->established && !b->synack_in && !synack) {
-            ++stats_.wan_stray_dropped;
-            obs::inc(m_wan_stray_dropped_);
-            return std::nullopt;
-        }
-        if (synack) b->synack_in = true;
-    }
-    ++b->packets_in;
-    // Mirror of the outbound rule at outbound_tcp(): only non-SYN traffic
-    // past the handshake promotes. A retransmitted SYN followed by the
-    // SYN-ACK must not jump to the established timeout.
-    if (b->packets_out > 1 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*b);
-    if (seg.flags.fin) b->fin_in = true;
-
-    auto out = translated_header(pkt, pkt.h.src, b->key.internal.addr);
-    seg.dst_port = b->key.internal.port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    const auto bytes = out.serialize();
-
-    if (seg.flags.rst) {
-        tcp_.remove(b->key);
-    } else if (b->fin_in && b->fin_out) {
-        tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-    }
-    return bytes;
 }
 
 std::optional<IcmpKind> NatEngine::classify_icmp(const net::IcmpMessage& m) {

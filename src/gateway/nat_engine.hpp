@@ -4,15 +4,17 @@
 // leave stale checksums inside ICMP payloads, convert ICMP errors into
 // bogus TCP RSTs, or fall back to IP-only translation for transports they
 // do not understand. All of Table 2 is generated by these code paths.
+// UDP/TCP address and port translation is the same on every device and
+// is the shared L4Translator, driven by this device's profile.
 #pragma once
 
 #include <optional>
 
 #include "gateway/binding_table.hpp"
+#include "gateway/l4_translator.hpp"
 #include "gateway/profile.hpp"
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
-#include "net/packet_view.hpp"
 
 namespace gatekit::gateway {
 
@@ -39,33 +41,12 @@ public:
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
 
-    /// Verdicts of the in-place translators. kSlow guarantees that no
-    /// translation state was touched, so the caller can replay the same
-    /// packet through the legacy outbound()/inbound() path and observe
-    /// byte-identical behaviour. kDropped matches a legacy nullopt with
-    /// the same counters bumped.
-    enum class FastVerdict : std::uint8_t { kForwarded, kDropped, kSlow };
-
-    /// Translate a LAN->WAN UDP/TCP packet in place via `view` (binding
-    /// lookup + address/port rewrite + incremental checksums). Bails to
-    /// kSlow on anything the legacy path treats specially: IP options,
-    /// fragments, non-UDP/TCP transports, inconsistent L4 geometry, or
-    /// checksum-less UDP.
-    FastVerdict outbound_fast(net::PacketView& view);
-    /// WAN->LAN counterpart. `handled` mirrors inbound()'s flag; an
-    /// unknown flow returns kSlow untouched (the packet may be for the
-    /// gateway's own stack).
-    FastVerdict inbound_fast(net::PacketView& view, bool& handled);
-
-    /// True when a packet is structurally eligible for the in-place fast
-    /// path: no IP options or fragments, plain UDP/TCP with sound L4
-    /// geometry, and a live checksum. Lets callers rule out a kSlow
-    /// replay before touching state the replay would touch again (e.g.
-    /// filter hit counters).
-    static bool fast_eligible(const net::PacketView& v) {
-        return !v.has_options() && !v.is_fragment() && v.has_l4() &&
-               !v.l4_checksum_disabled();
-    }
+    /// Translate a LAN->WAN UDP/TCP packet in place (L4Translator). The
+    /// datagram entry points above take this route for UDP/TCP too.
+    L4Verdict outbound(net::PacketView& v);
+    /// WAN->LAN counterpart. kNotOurs leaves the packet untouched for the
+    /// gateway's own stack.
+    L4Verdict inbound(net::PacketView& v);
 
     /// Hairpin a LAN->WAN-address datagram back into the LAN (UDP only;
     /// returns nullopt when the device does not hairpin or no binding
@@ -86,7 +67,6 @@ public:
     void flush();
 
     struct Stats {
-        std::uint64_t dropped_no_binding = 0;
         std::uint64_t dropped_capacity = 0;
         std::uint64_t dropped_policy = 0;
         std::uint64_t icmp_translated = 0;
@@ -110,23 +90,16 @@ public:
                             const std::string& device);
 
 private:
-    /// Common IP header rewrite for fully translated packets.
+    /// Common IP header rewrite for translated ICMP packets.
     net::Ipv4Packet translated_header(const net::Ipv4Packet& pkt,
                                       net::Ipv4Addr new_src,
                                       net::Ipv4Addr new_dst) const;
-    sim::Duration udp_timeout_for(const Binding& b, bool inbound_packet,
-                                  std::uint16_t service_port) const;
-    void refresh_tcp(Binding& b);
+    /// Bump the counters a drop verdict stands for.
+    void count_drop(L4Verdict v);
 
-    std::optional<net::Bytes> outbound_udp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> outbound_tcp(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> outbound_unknown(const net::Ipv4Packet& pkt);
 
-    std::optional<net::Bytes> inbound_udp(const net::Ipv4Packet& pkt,
-                                          bool& handled);
-    std::optional<net::Bytes> inbound_tcp(const net::Ipv4Packet& pkt,
-                                          bool& handled);
     std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
                                            bool& handled);
     std::optional<net::Bytes> inbound_unknown(const net::Ipv4Packet& pkt,
@@ -152,6 +125,7 @@ private:
     const DeviceProfile& profile_;
     BindingTable udp_;
     BindingTable tcp_;
+    L4Translator l4_;
     net::Ipv4Addr lan_addr_;
     int lan_prefix_len_ = 24;
     net::Ipv4Addr wan_addr_;
@@ -172,13 +146,6 @@ private:
     obs::Counter* m_wan_syn_dropped_ = nullptr;
     obs::Counter* m_wan_syn_tarpitted_ = nullptr;
     obs::Counter* m_wan_stray_dropped_ = nullptr;
-    // Which UDP refresh policy decided each timeout (per-service override,
-    // inbound refresh, outbound refresh, or the initial timeout).
-    obs::Counter* m_to_per_service_ = nullptr;
-    obs::Counter* m_to_inbound_ = nullptr;
-    obs::Counter* m_to_outbound_ = nullptr;
-    obs::Counter* m_to_initial_ = nullptr;
-    obs::LogHistogram* m_to_granted_ns_ = nullptr;
 
     // ICMP echo (query) bindings: internal (addr, id, remote) <-> id.
     struct IcmpQueryKey {

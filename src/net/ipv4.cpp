@@ -102,11 +102,8 @@ Bytes Ipv4Packet::make_record_route_option(int slots) {
     return opt;
 }
 
-namespace {
-
-/// Locate the Record Route option inside raw option bytes; returns the
-/// offset of its type octet or npos.
-std::size_t find_record_route(const Bytes& options) {
+std::optional<std::size_t> find_record_route(
+    std::span<const std::uint8_t> options) {
     std::size_t i = 0;
     while (i < options.size()) {
         const std::uint8_t type = options[i];
@@ -118,18 +115,20 @@ std::size_t find_record_route(const Bytes& options) {
         if (i + 1 >= options.size()) break;
         const std::uint8_t len = options[i + 1];
         if (len < 2 || i + len > options.size()) break;
-        if (type == ipopt::kRecordRoute) return i;
+        if (type == ipopt::kRecordRoute) {
+            if (len < 3) break; // no room for the pointer octet
+            return i;
+        }
         i += len;
     }
-    return static_cast<std::size_t>(-1);
+    return std::nullopt;
 }
-
-} // namespace
 
 std::vector<Ipv4Addr> Ipv4Packet::recorded_route() const {
     std::vector<Ipv4Addr> out;
-    const auto at = find_record_route(h.options);
-    if (at == static_cast<std::size_t>(-1)) return out;
+    const auto found = find_record_route(h.options);
+    if (!found) return out;
+    const std::size_t at = *found;
     const std::uint8_t len = h.options[at + 1];
     const std::uint8_t ptr = h.options[at + 2];
     // Entries occupy [4, ptr) relative to the option start.
@@ -143,13 +142,13 @@ std::vector<Ipv4Addr> Ipv4Packet::recorded_route() const {
 }
 
 void Ipv4Packet::record_route(Ipv4Addr router) {
-    const auto at = find_record_route(h.options);
-    if (at == static_cast<std::size_t>(-1)) return;
+    const auto found = find_record_route(h.options);
+    if (!found) return;
+    const std::size_t at = *found;
     const std::uint8_t len = h.options[at + 1];
     const std::uint8_t ptr = h.options[at + 2];
-    if (ptr + 3 > len + 1) return; // full
+    if (ptr < 4 || ptr + 3 > len) return; // malformed or full
     const std::size_t slot = at + ptr - 1;
-    if (slot + 4 > at + len) return;
     const std::uint32_t v = router.value();
     for (int i = 0; i < 4; ++i)
         h.options[slot + static_cast<std::size_t>(i)] =

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "net/addr.hpp"
 #include "net/buffer.hpp"
@@ -74,6 +75,11 @@ struct Ipv4Packet {
     /// exists and has space), as a cooperating router would.
     void record_route(Ipv4Addr router);
 };
+
+/// Offset of the Record Route option's type octet within raw IPv4
+/// option bytes, or nullopt when there is none (or it is truncated).
+std::optional<std::size_t> find_record_route(
+    std::span<const std::uint8_t> options);
 
 /// Read the destination address straight out of a serialized datagram —
 /// the routing fast path only needs these four bytes, not a full parse.

@@ -32,35 +32,29 @@ std::optional<PacketView> PacketView::parse(
 
     const std::size_t l4_len = total - ihl;
     if (!v.fragment_ && v.proto_ == proto::kUdp && l4_len >= 8) {
-        // The UDP length field must span the IP payload exactly: the
-        // legacy path trims trailing bytes to the UDP length on
-        // re-serialization, which in-place forwarding cannot mimic.
+        // The UDP length may stop short of the IP payload (trim_to_l4
+        // drops the rest) but never run past it.
         const std::uint16_t udp_len =
             static_cast<std::uint16_t>((d[ihl + 4] << 8) | d[ihl + 5]);
-        if (udp_len == l4_len) {
+        if (udp_len >= 8 && udp_len <= l4_len) {
             v.has_l4_ = true;
-            v.sport_ =
-                static_cast<std::uint16_t>((d[ihl] << 8) | d[ihl + 1]);
-            v.dport_ =
-                static_cast<std::uint16_t>((d[ihl + 2] << 8) | d[ihl + 3]);
+            v.l4_end_ = static_cast<std::uint16_t>(ihl + udp_len);
             const std::uint16_t ck =
                 static_cast<std::uint16_t>((d[ihl + 6] << 8) | d[ihl + 7]);
-            if (ck == 0)
-                v.l4_ck_disabled_ = true;
-            else
-                v.l4_ck_off_ = static_cast<std::uint16_t>(ihl + 6);
+            if (ck != 0) v.l4_ck_off_ = static_cast<std::uint16_t>(ihl + 6);
         }
     } else if (!v.fragment_ && v.proto_ == proto::kTcp && l4_len >= 20) {
         const std::size_t doff =
             static_cast<std::size_t>(d[ihl + 12] >> 4) * 4;
         if (doff >= 20 && doff <= l4_len) {
             v.has_l4_ = true;
-            v.sport_ =
-                static_cast<std::uint16_t>((d[ihl] << 8) | d[ihl + 1]);
-            v.dport_ =
-                static_cast<std::uint16_t>((d[ihl + 2] << 8) | d[ihl + 3]);
+            v.l4_end_ = total;
             v.l4_ck_off_ = static_cast<std::uint16_t>(ihl + 16);
         }
+    }
+    if (v.has_l4_) {
+        v.sport_ = static_cast<std::uint16_t>((d[ihl] << 8) | d[ihl + 1]);
+        v.dport_ = static_cast<std::uint16_t>((d[ihl + 2] << 8) | d[ihl + 3]);
     }
     return v;
 }
@@ -76,6 +70,13 @@ void PacketView::ip_fixup32(std::size_t off, std::uint32_t old_w,
     write16(off, static_cast<std::uint16_t>(new_w >> 16));
     write16(off + 2, static_cast<std::uint16_t>(new_w));
     write16(10, checksum_update32(read16(10), old_w, new_w));
+}
+
+void PacketView::ip_set8(std::size_t off, std::uint8_t v) {
+    const std::size_t w = off & ~std::size_t{1};
+    const std::uint16_t old_w = read16(w);
+    data_[off] = v;
+    write16(10, checksum_update16(read16(10), old_w, read16(w)));
 }
 
 void PacketView::l4_fixup16(std::uint16_t old_w, std::uint16_t new_w) {
@@ -121,9 +122,27 @@ void PacketView::set_dst_port(std::uint16_t p) {
 }
 
 void PacketView::decrement_ttl() {
-    const std::uint16_t old_w = read16(8);
-    data_[8] = static_cast<std::uint8_t>(data_[8] - 1);
-    write16(10, checksum_update16(read16(10), old_w, read16(8)));
+    ip_set8(8, static_cast<std::uint8_t>(data_[8] - 1));
+}
+
+void PacketView::record_route(Ipv4Addr router) {
+    const auto found = find_record_route({data_ + 20, ihl_ - 20u});
+    if (!found) return;
+    const std::size_t at = 20 + *found;
+    const std::uint8_t len = data_[at + 1];
+    const std::uint8_t ptr = data_[at + 2];
+    if (ptr < 4 || ptr + 3 > len) return; // malformed or full
+    const std::uint32_t v = router.value();
+    for (std::size_t i = 0; i < 4; ++i)
+        ip_set8(at + ptr - 1 + i,
+                static_cast<std::uint8_t>(v >> (24 - 8 * i)));
+    ip_set8(at + 2, static_cast<std::uint8_t>(ptr + 4));
+}
+
+void PacketView::trim_to_l4() {
+    if (!has_l4_ || l4_end_ >= total_) return;
+    ip_fixup16(2, total_, l4_end_);
+    total_ = l4_end_;
 }
 
 } // namespace gatekit::net

@@ -5,14 +5,14 @@
 // buffer and is invalidated by anything that reallocates or frees it
 // (see DESIGN.md §13 for the discipline).
 //
-// In-place updates are byte-identical to the legacy re-serialization for
-// any packet whose wire checksums were correct on arrival: the serializer
-// emits the unique representative of the checksum's residue class in
-// [0, 0xfffe] (IPv4/TCP) or [1, 0xffff] (UDP, where 0 means "disabled"),
-// and the incremental form is closed over exactly those ranges. Packets
-// with incorrect checksums (corrupt impairments) keep their badness in
-// place where re-serialization would have silently repaired it; the fast
-// path is only used where that distinction cannot matter.
+// It is the only way UDP/TCP is translated (gateway::L4Translator). For
+// any packet whose wire checksums were correct on arrival the in-place
+// result is byte-identical to re-serializing the rewritten packet: the
+// serializer emits the unique representative of the checksum's residue
+// class in [0, 0xfffe] (IPv4/TCP) or [1, 0xffff] (UDP, where 0 means
+// "no checksum"), and the incremental form is closed over exactly those
+// ranges. A UDP checksum of 0 stays 0. Packets with incorrect checksums
+// keep their badness; no translation step repairs them.
 #pragma once
 
 #include <cstdint>
@@ -34,28 +34,22 @@ public:
     static std::optional<PacketView> parse(std::span<std::uint8_t> datagram);
 
     // --- geometry ------------------------------------------------------
-    std::uint8_t* data() const { return data_; }
     /// IPv4 total length: the datagram's meaningful byte count. Trailing
     /// bytes beyond this (link padding) are not part of the packet.
     std::uint16_t total_len() const { return total_; }
-    std::uint8_t header_len() const { return ihl_; }
     std::uint8_t protocol() const { return proto_; }
     std::uint8_t ttl() const { return data_[8]; }
-    bool has_options() const { return ihl_ > 20; }
     bool is_fragment() const { return fragment_; }
 
     Ipv4Addr src() const { return src_; }
     Ipv4Addr dst() const { return dst_; }
 
-    /// True when UDP/TCP ports were parsed (first fragment, transport
-    /// header complete, UDP length field consistent with the IP total).
+    /// True when UDP/TCP ports were parsed: not a fragment, transport
+    /// header complete, and the UDP length (or TCP data offset) within
+    /// the IP payload.
     bool has_l4() const { return has_l4_; }
     std::uint16_t src_port() const { return sport_; }
     std::uint16_t dst_port() const { return dport_; }
-
-    /// Wire UDP checksum was zero ("no checksum"); in-place updates are
-    /// impossible because re-serialization would compute a fresh one.
-    bool l4_checksum_disabled() const { return l4_ck_disabled_; }
 
     /// TCP flag bits (byte 13 of the TCP header); 0 for non-TCP.
     std::uint8_t tcp_flags() const {
@@ -68,10 +62,19 @@ public:
     void set_src_port(std::uint16_t p);
     void set_dst_port(std::uint16_t p);
     void decrement_ttl();
+    /// Fill the next free slot of a Record Route option with `router`
+    /// (RFC 791), as a cooperating router does; no-op without an option
+    /// or with a full one. The option's length never changes.
+    void record_route(Ipv4Addr router);
+    /// Cut the datagram to the end of its UDP datagram when the UDP
+    /// length is shorter than the IP payload (the bytes past it belong
+    /// to nothing). total_len() shrinks; the frame is the caller's.
+    void trim_to_l4();
 
 private:
     void ip_fixup16(std::size_t off, std::uint16_t old_w, std::uint16_t new_w);
     void ip_fixup32(std::size_t off, std::uint32_t old_w, std::uint32_t new_w);
+    void ip_set8(std::size_t off, std::uint8_t v);
     /// Update the L4 checksum for a changed word that is part of the
     /// TCP/UDP checksum coverage (pseudo-header addresses or ports).
     void l4_fixup16(std::uint16_t old_w, std::uint16_t new_w);
@@ -91,8 +94,8 @@ private:
     std::uint8_t proto_ = 0;
     bool fragment_ = false;
     bool has_l4_ = false;
-    bool l4_ck_disabled_ = false;
     std::uint16_t l4_ck_off_ = 0; ///< absolute offset; 0 = no L4 checksum
+    std::uint16_t l4_end_ = 0;    ///< end of the UDP datagram / TCP segment
     Ipv4Addr src_;
     Ipv4Addr dst_;
     std::uint16_t sport_ = 0;

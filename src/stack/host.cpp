@@ -136,6 +136,11 @@ void Host::on_ip(Iface& iface, const net::Ipv4Packet& pkt,
 void Host::deliver_local(Iface& iface, const net::Ipv4Packet& pkt,
                          std::span<const std::uint8_t> raw) {
     if (local_intercept_ && local_intercept_(iface, pkt, raw)) return;
+    deliver_to_stack(iface, pkt, raw);
+}
+
+void Host::deliver_to_stack(Iface& iface, const net::Ipv4Packet& pkt,
+                            std::span<const std::uint8_t> raw) {
     if (ip_observer_) ip_observer_(iface, pkt, raw);
     switch (pkt.h.protocol) {
     case net::proto::kIcmp:

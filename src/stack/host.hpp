@@ -131,6 +131,11 @@ public:
     void set_local_intercept(LocalIntercept fn) {
         local_intercept_ = std::move(fn);
     }
+    /// Deliver a datagram addressed to this host to its own protocol
+    /// handlers, skipping the local intercept: for an intercept's owner
+    /// that has already ruled the datagram out, so it is not asked twice.
+    void deliver_to_stack(Iface& iface, const net::Ipv4Packet& pkt,
+                          std::span<const std::uint8_t> raw);
 
     /// Whether this host answers ICMP echo and emits ICMP errors.
     void set_icmp_enabled(bool on) { icmp_enabled_ = on; }

@@ -391,6 +391,34 @@ TEST(CgnGolden, HairpinBytes) {
     EXPECT_EQ(bed.engine.stats().hairpinned, 1u);
 }
 
+// Regression: the CGN parsed a fragment's payload as a UDP/TCP header
+// just like the home NAT did, so a mid-stream fragment could claim a
+// port in (or activate) a subscriber's block. Fragments are dropped by
+// policy before any slice is touched.
+TEST(CgnEngine, FragmentsAreDroppedBeforeAnyBlockIsTouched) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto frag = udp_pkt(sub, 40000, kRemote, 7000, {'m', 'i', 'd'});
+    frag.h.frag_offset = 32;
+    EXPECT_FALSE(bed.engine.outbound(frag).has_value());
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+
+    auto first = udp_pkt(sub, 40000, kRemote, 7000, {'a', 'b', 'c'});
+    first.h.more_fragments = true;
+    EXPECT_FALSE(bed.engine.outbound(first).has_value());
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+
+    ASSERT_TRUE(
+        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000)).has_value());
+    auto in = udp_pkt(kRemote, 7000, kExternal, 11264);
+    in.h.more_fragments = true;
+    bool handled = false;
+    EXPECT_FALSE(bed.engine.inbound(in, handled).has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.engine.stats().translated_in, 0u);
+    EXPECT_EQ(bed.engine.stats().dropped_policy, 3u);
+}
+
 // --- Satellite: embedded-quote rewriting (the double-NAT ICMP fix) --------
 
 // Regression: an inbound ICMP error's quote must be rewritten to the

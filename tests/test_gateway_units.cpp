@@ -591,3 +591,66 @@ TEST(NatGolden, HairpinBytesAndSenderBinding) {
     EXPECT_EQ(sender->expires_at,
               sim::TimePoint{} + std::chrono::seconds(30));
 }
+
+// A UDP checksum of 0 means "no checksum" (RFC 768). The translator
+// leaves it 0, as Linux nf_nat does, rather than inventing one.
+TEST(NatGolden, ZeroUdpChecksumStaysZero) {
+    NatBed bed;
+    auto pkt = udp_packet(40000, 7000, {'z'});
+    pkt.payload[6] = 0;
+    pkt.payload[7] = 0;
+    const auto out = bed.nat.outbound(pkt);
+    EXPECT_EQ(wire(out),
+              "45 00 00 1d 00 00 00 00 3f 11 65 c6 0a 00 01 0a 0a 00 01 01 9c "
+              "40 1b 58 00 09 00 00 7a");
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ((*out)[26], 0);
+    EXPECT_EQ((*out)[27], 0);
+}
+
+// Regression: an IP fragment used to reach the UDP/TCP translator, which
+// read a non-first fragment's payload as a transport header — creating a
+// binding on whatever "ports" the payload held and rewriting payload
+// bytes — and re-checksummed a first TCP fragment over that fragment
+// alone. UDP/TCP fragments are now dropped by policy in both directions.
+TEST(NatEngine, FragmentsAreDroppedNotTranslated) {
+    NatBed bed;
+    net::Ipv4Packet frag;
+    frag.h.protocol = net::proto::kUdp;
+    frag.h.src = kClient;
+    frag.h.dst = kServer;
+    frag.h.frag_offset = 64; // mid-stream: the "header" is payload
+    frag.payload = {0x12, 0x34, 0x1b, 0x58, 0x00, 0x10, 0x00, 0x00,
+                    'p',  'a',  'y',  'l',  'o',  'a',  'd',  '!'};
+    EXPECT_FALSE(bed.nat.outbound(frag).has_value());
+    EXPECT_EQ(bed.nat.udp_table().size(), 0u);
+
+    // First TCP fragment: a complete header, but only part of the data
+    // the checksum covers.
+    net::Ipv4Packet first;
+    first.h.protocol = net::proto::kTcp;
+    first.h.src = kClient;
+    first.h.dst = kServer;
+    first.h.more_fragments = true;
+    net::TcpSegment seg;
+    seg.src_port = 41000;
+    seg.dst_port = 80;
+    seg.flags.syn = true;
+    seg.payload.assign(64, 'x');
+    first.payload = seg.serialize(first.h.src, first.h.dst);
+    first.payload.resize(40);
+    EXPECT_FALSE(bed.nat.outbound(first).has_value());
+    EXPECT_EQ(bed.nat.tcp_table().size(), 0u);
+
+    // Inbound, a fragment aimed at a live binding's port is the NAT's to
+    // drop, not the gateway stack's to parse.
+    ASSERT_TRUE(bed.nat.outbound(udp_packet(40000, 7000)).has_value());
+    auto reply = udp_reply(40000);
+    reply.h.more_fragments = true;
+    bool handled = false;
+    EXPECT_FALSE(bed.nat.inbound(reply, handled).has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.nat.udp_table().find_outbound(flow(40000))->packets_in,
+              0u);
+    EXPECT_EQ(bed.nat.stats().dropped_policy, 3u);
+}
