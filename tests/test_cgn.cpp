@@ -625,3 +625,168 @@ TEST(Nat444, HolePunchSameCgnRidesHairpin) {
     EXPECT_TRUE(r2.registered);
     EXPECT_FALSE(r2.success);
 }
+
+// --- Golden corpus: exact bytes out of the CGN's ICMP and IP-only paths ---
+
+namespace {
+
+net::Ipv4Packet icmp_pkt(net::Ipv4Addr src, net::Ipv4Addr dst,
+                         const net::IcmpMessage& m, std::uint16_t id = 0) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kIcmp;
+    pkt.h.src = src;
+    pkt.h.dst = dst;
+    pkt.h.id = id;
+    pkt.payload = m.serialize();
+    return pkt;
+}
+
+/// The remote's ICMP error about a datagram the CGN sent it.
+net::Ipv4Packet error_to_external(const net::Bytes& quoted,
+                                  net::IcmpType type, std::uint8_t code) {
+    return icmp_pkt(kRemote, kExternal,
+                    net::IcmpMessage::make_error(type, code, 0, quoted),
+                    0x0e0e);
+}
+
+} // namespace
+
+TEST(CgnGolden, EchoOutAndReplyIn) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+                  sub, kRemote,
+                  net::IcmpMessage::make_echo(false, 0x0077, 1, {'p', 'g'}),
+                  0x0101))),
+              "45 00 00 1e 01 01 00 00 3f 01 3d 9b c6 33 64 07 0a 00 09 09 08 "
+              "00 87 20 00 77 00 01 70 67");
+    bool handled = false;
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  icmp_pkt(kRemote, kExternal,
+                           net::IcmpMessage::make_echo(true, 0x0077, 1,
+                                                       {'p', 'g'}),
+                           0x0202),
+                  handled)),
+              "45 00 00 1e 02 02 00 00 3f 01 02 90 0a 00 09 09 64 40 00 05 00 "
+              "00 8f 20 00 77 00 01 70 67");
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.engine.stats().translated_out, 1u);
+    EXPECT_EQ(bed.engine.stats().translated_in, 1u);
+}
+
+TEST(CgnGolden, InboundErrorsRewriteTheQuote) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    bool handled = false;
+    const auto udp_out =
+        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
+    ASSERT_TRUE(udp_out.has_value());
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  error_to_external(*udp_out, net::IcmpType::DestUnreachable,
+                                    net::icmp_code::kPortUnreachable),
+                  handled)),
+              "45 00 00 38 0e 0e 00 00 3f 01 f6 69 0a 00 09 09 64 40 00 05 03 "
+              "03 74 64 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 04 84 64 40 "
+              "00 05 0a 00 09 09 9c 40 1b 58 00 08 d0 f7");
+    EXPECT_TRUE(handled);
+    const auto tcp_out = bed.engine.outbound(
+        tcp_pkt(sub, 41000, kRemote, 80, {.syn = true}));
+    ASSERT_TRUE(tcp_out.has_value());
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  error_to_external(*tcp_out, net::IcmpType::TimeExceeded,
+                                    net::icmp_code::kTtlExceeded),
+                  handled)),
+              "45 00 00 38 0e 0e 00 00 3f 01 f6 69 0a 00 09 09 64 40 00 05 0b "
+              "00 40 ff 00 00 00 00 45 00 00 29 00 00 00 00 3f 06 04 82 64 40 "
+              "00 05 0a 00 09 09 a0 28 00 50 00 00 13 88");
+    const auto echo_out = bed.engine.outbound(
+        icmp_pkt(sub, kRemote, net::IcmpMessage::make_echo(false, 0x0066, 2)));
+    ASSERT_TRUE(echo_out.has_value());
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  error_to_external(*echo_out,
+                                    net::IcmpType::DestUnreachable,
+                                    net::icmp_code::kHostUnreachable),
+                  handled)),
+              "45 00 00 38 0e 0e 00 00 3f 01 f6 69 0a 00 09 09 64 40 00 05 03 "
+              "01 fc fe 00 00 00 00 45 00 00 1c 00 00 00 00 3f 01 04 94 64 40 "
+              "00 05 0a 00 09 09 08 00 f7 97 00 66 00 02");
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 3u);
+}
+
+// A subscriber's own error quotes the inbound packet as the subscriber
+// saw it; the CGN rewrites the quote's destination to the external view.
+TEST(CgnGolden, OutboundSubscriberErrorQuoteRewritten) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    ASSERT_TRUE(
+        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000)).has_value());
+    bool handled = false;
+    const auto in = bed.engine.inbound(
+        udp_pkt(kRemote, 7000, kExternal, 11264, {}), handled);
+    ASSERT_TRUE(in.has_value());
+    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+                  sub, kRemote,
+                  net::IcmpMessage::make_error(
+                      net::IcmpType::DestUnreachable,
+                      net::icmp_code::kPortUnreachable, 0, *in),
+                  0x0303))),
+              "45 00 00 38 03 03 00 00 3f 01 3b 7f c6 33 64 07 0a 00 09 09 03 "
+              "03 3a 5a 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 3e 8e 0a 00 "
+              "09 09 c6 33 64 07 1b 58 2c 00 00 08 7b 42");
+    // Quoting an echo reply: only the address needs the external view.
+    const auto reply = icmp_pkt(kRemote, sub,
+                                net::IcmpMessage::make_echo(true, 0x55, 1));
+    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+                  sub, kRemote,
+                  net::IcmpMessage::make_error(
+                      net::IcmpType::DestUnreachable,
+                      net::icmp_code::kHostUnreachable, 0,
+                      reply.serialize())))),
+              "45 00 00 38 00 00 00 00 3f 01 3e 82 c6 33 64 07 0a 00 09 09 03 "
+              "01 fc fe 00 00 00 00 45 00 00 1c 00 00 00 00 40 01 3d 9e 0a 00 "
+              "09 09 c6 33 64 07 00 00 ff a9 00 55 00 01");
+    // No binding for the quoted flow: the quote crosses unchanged.
+    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+                  sub, kRemote,
+                  net::IcmpMessage::make_error(
+                      net::IcmpType::DestUnreachable,
+                      net::icmp_code::kPortUnreachable, 0,
+                      udp_pkt(kRemote, 7001, sub, 40000, {}).serialize())))),
+              "45 00 00 38 00 00 00 00 3f 01 3e 82 c6 33 64 07 0a 00 09 09 03 "
+              "03 74 64 00 00 00 00 45 00 00 1c 00 00 00 00 40 11 03 84 0a 00 "
+              "09 09 64 40 00 05 1b 59 9c 40 00 08 d0 f6");
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 3u);
+}
+
+TEST(CgnGolden, UnclassifiedErrorCode) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    const auto out =
+        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
+    ASSERT_TRUE(out.has_value());
+    bool handled = false;
+    // Destination Unreachable code 13 (administratively prohibited).
+    EXPECT_EQ(wire(bed.engine.inbound(
+                  error_to_external(*out, net::IcmpType::DestUnreachable, 13),
+                  handled)),
+              "45 00 00 38 0e 0e 00 00 3f 01 f6 69 0a 00 09 09 64 40 00 05 03 "
+              "0d 74 5a 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 04 84 64 40 "
+              "00 05 0a 00 09 09 9c 40 1b 58 00 08 d0 f7");
+    EXPECT_TRUE(handled);
+}
+
+TEST(CgnGolden, UnknownTransportIsDropped) {
+    EngineBed bed;
+    net::Ipv4Packet dccp;
+    dccp.h.protocol = net::proto::kDccp;
+    dccp.h.src = net::Ipv4Addr(100, 64, 0, 5);
+    dccp.h.dst = kRemote;
+    dccp.payload = {0x9c, 0x40, 0x1b, 0x58, 0x05, 0x00, 0xab, 0xcd};
+    EXPECT_FALSE(bed.engine.outbound(dccp).has_value());
+    EXPECT_EQ(bed.engine.stats().dropped_policy, 1u);
+    dccp.h.src = kRemote;
+    dccp.h.dst = kExternal;
+    bool handled = true;
+    EXPECT_FALSE(bed.engine.inbound(dccp, handled).has_value());
+    EXPECT_FALSE(handled);
+}

@@ -6,7 +6,9 @@
 #include "gateway/binding_table.hpp"
 #include "gateway/fwd_path.hpp"
 #include "gateway/nat_engine.hpp"
+#include "harness/testbed.hpp"
 #include "net/checksum.hpp"
+#include "net/icmp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "util/assert.hpp"
@@ -653,4 +655,385 @@ TEST(NatEngine, FragmentsAreDroppedNotTranslated) {
     EXPECT_EQ(bed.nat.udp_table().find_outbound(flow(40000))->packets_in,
               0u);
     EXPECT_EQ(bed.nat.stats().dropped_policy, 3u);
+}
+
+// --- Golden corpus: exact bytes out of the ICMP and IP-only paths --------
+//
+// Echo query translation, inbound errors quoting UDP/TCP/ICMP flows under
+// each embedded-quote profile knob, ICMP->RST, the hardening verdicts,
+// an error code no rule classifies, and unknown transports (IP-only,
+// untranslated, dropped). Every checksum in these packets is correct on
+// input unless a test says otherwise.
+
+namespace {
+
+DeviceProfile icmp_profile() {
+    auto p = quick_profile();
+    p.icmp_tcp = IcmpTranslationSet::all();
+    p.icmp_udp = IcmpTranslationSet::all();
+    // External port != internal port, so a quote's port rewrite shows.
+    p.port_allocation = PortAllocation::Sequential;
+    return p;
+}
+
+net::Ipv4Packet icmp_packet(net::Ipv4Addr src, net::Ipv4Addr dst,
+                            const net::IcmpMessage& m, std::uint16_t id = 0) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kIcmp;
+    pkt.h.src = src;
+    pkt.h.dst = dst;
+    pkt.h.id = id;
+    pkt.payload = m.serialize();
+    return pkt;
+}
+
+/// The server's ICMP error about a datagram the NAT sent it.
+net::Ipv4Packet error_to_wan(const net::Bytes& quoted, net::IcmpType type,
+                             std::uint8_t code) {
+    return icmp_packet(kServer, kWan,
+                       net::IcmpMessage::make_error(type, code, 0, quoted),
+                       0x0e0e);
+}
+
+net::Ipv4Packet tcp_syn(std::uint16_t sport) {
+    net::Ipv4Packet p;
+    p.h.protocol = net::proto::kTcp;
+    p.h.src = kClient;
+    p.h.dst = kServer;
+    net::TcpSegment s;
+    s.src_port = sport;
+    s.dst_port = 80;
+    s.seq = 0x0a0b0c0d;
+    s.flags.syn = true;
+    s.window = 1024;
+    p.payload = s.serialize(p.h.src, p.h.dst);
+    return p;
+}
+
+net::Ipv4Packet unknown_proto_packet(net::Ipv4Addr src, net::Ipv4Addr dst) {
+    net::Ipv4Packet p;
+    p.h.protocol = net::proto::kDccp;
+    p.h.src = src;
+    p.h.dst = dst;
+    p.h.id = 0x3333;
+    // Opaque transport bytes: an IP-only rewrite must leave them as-is.
+    p.payload = {0x9c, 0x40, 0x1b, 0x58, 0x05, 0x00, 0xab, 0xcd};
+    return p;
+}
+
+} // namespace
+
+TEST(NatGolden, EchoOutAndReplyIn) {
+    auto profile = icmp_profile();
+    profile.honor_record_route = true;
+    NatBed bed(profile);
+    auto echo = icmp_packet(kClient, kServer,
+                            net::IcmpMessage::make_echo(false, 0x1234, 1,
+                                                        {'p', 'i', 'n', 'g'}),
+                            0x0101);
+    echo.h.options = net::Ipv4Packet::make_record_route_option(2);
+    EXPECT_EQ(wire(bed.nat.outbound(echo)),
+              "48 00 00 2c 01 01 00 00 3f 01 48 b0 0a 00 01 0a 0a 00 01 01 07 "
+              "0b 08 0a 00 01 0a 00 00 00 00 00 08 00 06 fa 12 34 00 01 70 69 "
+              "6e 67");
+    EXPECT_EQ(bed.nat.icmp_query_count(), 1u);
+
+    bool handled = false;
+    auto reply = icmp_packet(kServer, kWan,
+                             net::IcmpMessage::make_echo(true, 0x1234, 1,
+                                                         {'p', 'i', 'n', 'g'}),
+                             0x0202);
+    EXPECT_EQ(wire(bed.nat.inbound(reply, handled)),
+              "45 00 00 20 02 02 00 00 3f 01 ac ce 0a 00 01 01 c0 a8 01 64 00 "
+              "00 0e fa 12 34 00 01 70 69 6e 67");
+    EXPECT_TRUE(handled);
+    // A reply with an id no query used is the gateway's own.
+    handled = true;
+    EXPECT_FALSE(bed.nat
+                     .inbound(icmp_packet(kServer, kWan,
+                                          net::IcmpMessage::make_echo(
+                                              true, 0x4321, 1)),
+                              handled)
+                     .has_value());
+    EXPECT_FALSE(handled);
+}
+
+TEST(NatGolden, InboundUdpAndTcpErrorsPerEmbeddedKnob) {
+    struct Case {
+        bool fix_ip;
+        bool fix_transport;
+        const char* udp;
+        const char* tcp;
+    };
+    // Only the quote differs: its IP checksum (fix_embedded_ip_checksum)
+    // and its port and UDP checksum (fix_embedded_transport).
+    const Case cases[] = {
+        {true, true,
+         "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 03 03 "
+         "ca 23 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 ae c4 c0 a8 01 64 "
+         "0a 00 01 01 9c 40 1b 58 00 08 7b 38",
+         "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 0b 00 "
+         "3e 6f 00 00 00 00 45 00 00 28 00 00 00 00 3f 06 ae c3 c0 a8 01 64 "
+         "0a 00 01 01 a0 28 00 50 0a 0b 0c 0d"},
+        {false, true,
+         "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 03 03 "
+         "13 21 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 65 c7 c0 a8 01 64 "
+         "0a 00 01 01 9c 40 1b 58 00 08 7b 38",
+         "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 0b 00 "
+         "87 6c 00 00 00 00 45 00 00 28 00 00 00 00 3f 06 65 c6 c0 a8 01 64 "
+         "0a 00 01 01 a0 28 00 50 0a 0b 0c 0d"},
+        {true, false,
+         "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 03 03 "
+         "13 21 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 ae c4 c0 a8 01 64 "
+         "0a 00 01 01 4e 20 1b 58 00 08 80 5b",
+         "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 0b 00 "
+         "90 77 00 00 00 00 45 00 00 28 00 00 00 00 3f 06 ae c3 c0 a8 01 64 "
+         "0a 00 01 01 4e 20 00 50 0a 0b 0c 0d"},
+    };
+    for (const Case& c : cases) {
+        auto profile = icmp_profile();
+        profile.fix_embedded_ip_checksum = c.fix_ip;
+        profile.fix_embedded_transport = c.fix_transport;
+        NatBed bed(profile);
+        // Empty UDP payload: the whole datagram, checksum included, sits
+        // inside the 8-byte quote.
+        const auto udp_out = bed.nat.outbound(udp_packet(40000, 7000, {}));
+        ASSERT_TRUE(udp_out.has_value());
+        bool handled = false;
+        EXPECT_EQ(wire(bed.nat.inbound(
+                      error_to_wan(*udp_out, net::IcmpType::DestUnreachable,
+                                   net::icmp_code::kPortUnreachable),
+                      handled)),
+                  c.udp);
+        EXPECT_TRUE(handled);
+        const auto tcp_out = bed.nat.outbound(tcp_syn(41000));
+        ASSERT_TRUE(tcp_out.has_value());
+        EXPECT_EQ(wire(bed.nat.inbound(
+                      error_to_wan(*tcp_out, net::IcmpType::TimeExceeded,
+                                   net::icmp_code::kTtlExceeded),
+                      handled)),
+                  c.tcp);
+        EXPECT_EQ(bed.nat.stats().icmp_translated, 2u);
+    }
+}
+
+TEST(NatGolden, ErrorAboutIcmpQuery) {
+    for (const bool fix_ip : {true, false}) {
+        auto profile = icmp_profile();
+        profile.fix_embedded_ip_checksum = fix_ip;
+        NatBed bed(profile);
+        const auto echo_out = bed.nat.outbound(icmp_packet(
+            kClient, kServer, net::IcmpMessage::make_echo(false, 0x0777, 3)));
+        ASSERT_TRUE(echo_out.has_value());
+        bool handled = false;
+        EXPECT_EQ(wire(bed.nat.inbound(
+                      error_to_wan(*echo_out, net::IcmpType::DestUnreachable,
+                                   net::icmp_code::kHostUnreachable),
+                      handled)),
+                  fix_ip ? "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 "
+                           "c0 a8 01 64 03 01 fc fe 00 00 00 00 45 00 00 1c "
+                           "00 00 00 00 3f 01 ae d4 c0 a8 01 64 0a 00 01 01 "
+                           "08 00 f0 85 07 77 00 03"
+                         : "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 "
+                           "c0 a8 01 64 03 01 45 fc 00 00 00 00 45 00 00 1c "
+                           "00 00 00 00 3f 01 65 d7 c0 a8 01 64 0a 00 01 01 "
+                           "08 00 f0 85 07 77 00 03");
+        EXPECT_TRUE(handled);
+    }
+    // Devices that do not translate query errors drop them as theirs.
+    auto profile = icmp_profile();
+    profile.icmp_query_errors_translated = false;
+    NatBed bed(profile);
+    const auto echo_out = bed.nat.outbound(icmp_packet(
+        kClient, kServer, net::IcmpMessage::make_echo(false, 0x0777, 3)));
+    ASSERT_TRUE(echo_out.has_value());
+    bool handled = false;
+    EXPECT_FALSE(bed.nat
+                     .inbound(error_to_wan(*echo_out,
+                                           net::IcmpType::DestUnreachable,
+                                           net::icmp_code::kHostUnreachable),
+                              handled)
+                     .has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.nat.stats().icmp_dropped, 1u);
+}
+
+TEST(NatGolden, OutboundErrorCrossesWithOuterRewriteOnly) {
+    NatBed bed(icmp_profile());
+    // A LAN host's port unreachable about a datagram from the server.
+    const auto err = icmp_packet(
+        kClient, kServer,
+        net::IcmpMessage::make_error(
+            net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable,
+            0, udp_reply(40000).serialize()),
+        0x0303);
+    EXPECT_EQ(wire(bed.nat.outbound(err)),
+              "45 00 00 38 03 03 00 00 3f 01 62 b8 0a 00 01 0a 0a 00 01 01 03 "
+              "03 85 22 00 00 00 00 45 00 00 1d 42 42 00 00 40 11 22 84 0a 00 "
+              "01 01 0a 00 01 0a 1b 58 9c 40 00 09 c0 38");
+}
+
+TEST(NatGolden, TcpErrorBecomesRst) {
+    auto profile = icmp_profile();
+    profile.tcp_icmp_becomes_rst = true;
+    NatBed bed(profile);
+    const auto tcp_out = bed.nat.outbound(tcp_syn(41000));
+    ASSERT_TRUE(tcp_out.has_value());
+    bool handled = false;
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  error_to_wan(*tcp_out, net::IcmpType::DestUnreachable,
+                               net::icmp_code::kPortUnreachable),
+                  handled)),
+              "45 00 00 28 00 00 00 00 40 06 ad c3 0a 00 01 01 c0 a8 01 64 00 "
+              "50 a0 28 00 00 00 00 00 00 00 00 50 04 ff ff 42 5b 00 00");
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.nat.stats().icmp_translated, 1u);
+    EXPECT_EQ(bed.nat.tcp_table().size(), 1u);
+}
+
+TEST(NatGolden, TeardownAndRateLimitVerdicts) {
+    auto profile = icmp_profile();
+    profile.icmp_error_teardown = true;
+    profile.icmp_error_rate_limit = 2;
+    profile.icmp_udp = IcmpTranslationSet::all().set(
+        IcmpKind::HostUnreachable, false);
+    NatBed bed(profile);
+    const auto a = bed.nat.outbound(udp_packet(40000, 7000, {}));
+    const auto b = bed.nat.outbound(udp_packet(40001, 7000, {}));
+    const auto c = bed.nat.outbound(udp_packet(40002, 7000, {}));
+    ASSERT_TRUE(a && b && c);
+    bool handled = false;
+    // Relayed, then the binding is purged.
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  error_to_wan(*a, net::IcmpType::DestUnreachable,
+                               net::icmp_code::kPortUnreachable),
+                  handled)),
+              "45 00 00 38 0e 0e 00 00 3f 01 a0 aa 0a 00 01 01 c0 a8 01 64 03 "
+              "03 ca 23 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 ae c4 c0 a8 "
+              "01 64 0a 00 01 01 9c 40 1b 58 00 08 7b 38");
+    EXPECT_TRUE(handled);
+    // Not relayed (the device does not translate Host Unreachable for
+    // UDP), purged all the same.
+    handled = false;
+    EXPECT_FALSE(bed.nat
+                     .inbound(error_to_wan(*b, net::IcmpType::DestUnreachable,
+                                           net::icmp_code::kHostUnreachable),
+                              handled)
+                     .has_value());
+    EXPECT_TRUE(handled);
+    // Third error in the same second: over budget, dropped unparsed.
+    handled = false;
+    EXPECT_FALSE(bed.nat
+                     .inbound(error_to_wan(*c, net::IcmpType::DestUnreachable,
+                                           net::icmp_code::kPortUnreachable),
+                              handled)
+                     .has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.nat.udp_table().size(), 1u);
+    EXPECT_EQ(bed.nat.stats().icmp_translated, 1u);
+    EXPECT_EQ(bed.nat.stats().icmp_dropped, 1u);
+    EXPECT_EQ(bed.nat.stats().icmp_teardowns, 2u);
+    EXPECT_EQ(bed.nat.stats().icmp_rate_limited, 1u);
+
+    // Quote validation: a quote cut after the ports is refused.
+    auto strict = icmp_profile();
+    strict.validate_embedded_binding = true;
+    NatBed sbed(strict);
+    auto d = sbed.nat.outbound(udp_packet(40000, 7000, {}));
+    ASSERT_TRUE(d.has_value());
+    d->resize(24);
+    handled = false;
+    EXPECT_FALSE(sbed.nat
+                     .inbound(error_to_wan(*d, net::IcmpType::DestUnreachable,
+                                           net::icmp_code::kPortUnreachable),
+                              handled)
+                     .has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(sbed.nat.stats().icmp_quote_rejected, 1u);
+}
+
+TEST(NatGolden, UnclassifiedErrorCodeIsNotRelayed) {
+    NatBed bed(icmp_profile());
+    const auto out = bed.nat.outbound(udp_packet(40000, 7000, {}));
+    ASSERT_TRUE(out.has_value());
+    bool handled = true;
+    // Destination Unreachable code 13 (administratively prohibited) is
+    // not one the translation sets name.
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  error_to_wan(*out, net::IcmpType::DestUnreachable, 13),
+                  handled)),
+              "<dropped>");
+    EXPECT_FALSE(handled);
+    EXPECT_EQ(bed.nat.stats().icmp_translated, 0u);
+}
+
+TEST(NatGolden, UnknownTransportPolicies) {
+    auto ip_only = icmp_profile();
+    ip_only.unknown_proto = UnknownProtocolPolicy::TranslateIpOnly;
+    NatBed bed(ip_only);
+    EXPECT_EQ(wire(bed.nat.outbound(unknown_proto_packet(kClient, kServer))),
+              "45 00 00 1c 33 33 00 00 3f 21 32 84 0a 00 01 0a 0a 00 01 01 9c "
+              "40 1b 58 05 00 ab cd");
+    EXPECT_EQ(bed.nat.ip_only_count(), 1u);
+    bool handled = false;
+    EXPECT_EQ(wire(bed.nat.inbound(unknown_proto_packet(kServer, kWan),
+                                   handled)),
+              "45 00 00 1c 33 33 00 00 3f 21 7b 81 0a 00 01 01 c0 a8 01 64 9c "
+              "40 1b 58 05 00 ab cd");
+    EXPECT_TRUE(handled);
+
+    ip_only.unknown_proto_inbound_allowed = false;
+    NatBed firewalled(ip_only);
+    ASSERT_TRUE(firewalled.nat.outbound(unknown_proto_packet(kClient, kServer))
+                    .has_value());
+    handled = false;
+    EXPECT_FALSE(firewalled.nat
+                     .inbound(unknown_proto_packet(kServer, kWan), handled)
+                     .has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(firewalled.nat.stats().dropped_policy, 1u);
+
+    auto plain = icmp_profile();
+    plain.unknown_proto = UnknownProtocolPolicy::Untranslated;
+    NatBed router(plain);
+    EXPECT_EQ(wire(router.nat.outbound(unknown_proto_packet(kClient, kServer))),
+              "45 00 00 1c 33 33 00 00 3f 21 7b 81 c0 a8 01 64 0a 00 01 01 9c "
+              "40 1b 58 05 00 ab cd");
+    handled = true;
+    EXPECT_FALSE(router.nat
+                     .inbound(unknown_proto_packet(kServer, kWan), handled)
+                     .has_value());
+    EXPECT_FALSE(handled);
+
+    NatBed dropper(icmp_profile()); // UnknownProtocolPolicy::Drop
+    EXPECT_FALSE(dropper.nat.outbound(unknown_proto_packet(kClient, kServer))
+                     .has_value());
+    EXPECT_EQ(dropper.nat.stats().dropped_policy, 1u);
+}
+
+// The plain-router fallback of an Untranslated device: a WAN packet for
+// a LAN address is forwarded with only its TTL changed.
+TEST(NatGolden, UntranslatedWanToLanFallback) {
+    sim::EventLoop loop;
+    harness::Testbed tb(loop);
+    auto profile = icmp_profile();
+    profile.unknown_proto = UnknownProtocolPolicy::Untranslated;
+    const int i = tb.add_device(profile);
+    tb.start_and_wait();
+    auto& slot = tb.slot(i);
+    std::optional<net::Bytes> seen;
+    tb.client().set_ip_observer([&](stack::Iface&, const net::Ipv4Packet& p,
+                                    std::span<const std::uint8_t> raw) {
+        if (p.h.protocol == net::proto::kDccp)
+            seen = net::Bytes(raw.begin(), raw.end());
+    });
+    tb.server().add_route(net::Ipv4Addr(192, 168, 1, 0), 24, *slot.server_if,
+                          slot.gw_wan_addr);
+    tb.server().send_raw(
+        *slot.server_if,
+        unknown_proto_packet(slot.server_addr, slot.client_addr).serialize(),
+        slot.gw_wan_addr);
+    loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(wire(seen), "45 00 00 1c 33 33 00 00 3f 21 7b 81 0a 00 01 01 c0 "
+                          "a8 01 64 9c 40 1b 58 05 00 ab cd");
 }
