@@ -85,6 +85,35 @@ TEST(StunService, QueryTimesOutThroughBlackHole) {
     EXPECT_EQ(result->error, "timeout");
 }
 
+// Regression: each query's retransmission closure held a shared_ptr to
+// itself, so the query state and the caller's handler (with everything
+// it captured) were never freed — answered or timed out.
+TEST(StunService, QueryReleasesItsHandlerOnceDone) {
+    const net::Endpoint server{net::Ipv4Addr(10, 0, 0, 2),
+                               stun::kDefaultPort};
+    const auto watch_query = [&](auto& net, stack::Host& host) {
+        stun::StunClient client(host);
+        auto sentinel = std::make_shared<int>(0);
+        const std::weak_ptr<int> watch = sentinel;
+        bool done = false;
+        client.query(net::Ipv4Addr(10, 0, 0, 1), server,
+                     [&done, sentinel](const stun::StunResult&) {
+                         done = true;
+                     });
+        sentinel.reset();
+        net.loop.run();
+        EXPECT_TRUE(done);
+        return watch.expired();
+    };
+    testutil::Net2 answered;
+    stun::StunServer stun_server(answered.b);
+    EXPECT_TRUE(watch_query(answered, answered.a));
+    testutil::LossyNet2 lost;
+    lost.filter.set_predicate(
+        [](bool, std::uint64_t, const sim::Frame&) { return true; });
+    EXPECT_TRUE(watch_query(lost, lost.a));
+}
+
 namespace {
 
 DeviceProfile fw_profile() {
