@@ -217,8 +217,7 @@ void BM_ForwardPipelineUdp(benchmark::State& state) {
     gateway::DeviceProfile profile;
     profile.tag = "bench";
     gateway::NatEngine nat(loop, profile);
-    nat.set_addresses(net::Ipv4Addr(192, 168, 1, 1), 24,
-                      net::Ipv4Addr(10, 0, 1, 10));
+    nat.set_addresses(net::Ipv4Addr(10, 0, 1, 10));
     gateway::FwdPath fwd(loop, profile.fwd);
     sim::Link link(loop, 100'000'000, std::chrono::microseconds(10));
     RecyclingSink sink;
@@ -267,8 +266,7 @@ void BM_ForwardPipelineUdpObserved(benchmark::State& state) {
     profile.tag = "bench";
     gateway::NatEngine nat(loop, profile);
     nat.bind_observability(reg, "bench#1");
-    nat.set_addresses(net::Ipv4Addr(192, 168, 1, 1), 24,
-                      net::Ipv4Addr(10, 0, 1, 10));
+    nat.set_addresses(net::Ipv4Addr(10, 0, 1, 10));
     gateway::FwdPath fwd(loop, profile.fwd);
     fwd.bind_observability(reg, "bench#1");
     sim::Link link(loop, 100'000'000, std::chrono::microseconds(10));
@@ -310,8 +308,7 @@ void BM_NatOutboundUdp(benchmark::State& state) {
     gateway::DeviceProfile profile;
     profile.tag = "bench";
     gateway::NatEngine nat(loop, profile);
-    nat.set_addresses(net::Ipv4Addr(192, 168, 1, 1), 24,
-                      net::Ipv4Addr(10, 0, 1, 10));
+    nat.set_addresses(net::Ipv4Addr(10, 0, 1, 10));
     net::Ipv4Packet pkt;
     pkt.h.protocol = net::proto::kUdp;
     pkt.h.src = net::Ipv4Addr(192, 168, 1, 100);

@@ -1,65 +1,18 @@
 #include "gateway/cgn.hpp"
 
-#include "net/checksum.hpp"
-#include "net/icmp.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
 
 namespace {
-constexpr sim::Duration kIcmpQueryTimeout = std::chrono::seconds(60);
+// Echo-query cap: a carrier box multiplexes many subscribers' pings.
 constexpr std::size_t kMaxIcmpQueries = 4096;
-
-/// Rewrite one (address, port) half of an ICMP error quote — `src_side`
-/// selects the quoted source or destination — keeping the quote's IP
-/// header checksum and, when the quote reaches it, its UDP checksum
-/// incrementally correct (RFC 1624). A computed UDP checksum of zero is
-/// written as 0xffff (RFC 768); a raw 0x0000 would read as "disabled" to
-/// the next NAT layer of the cascade. TCP's checksum at transport offset
-/// 16 lies beyond the RFC 792 8-byte quote and is left alone.
-void rewrite_quote(net::Bytes& q, bool src_side, net::Ipv4Addr new_addr,
-                   std::uint16_t new_port, bool rewrite_port) {
-    if (q.size() < 20) return;
-    const std::size_t ihl = static_cast<std::size_t>(q[0] & 0xf) * 4;
-    if (ihl < 20 || q.size() < ihl) return;
-
-    const std::size_t ao = src_side ? 12 : 16;
-    const auto old_addr = static_cast<std::uint32_t>(
-        (q[ao] << 24) | (q[ao + 1] << 16) | (q[ao + 2] << 8) | q[ao + 3]);
-    const std::uint32_t na = new_addr.value();
-    for (int i = 0; i < 4; ++i)
-        q[ao + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(na >> (24 - 8 * i));
-    auto ip_ck = static_cast<std::uint16_t>((q[10] << 8) | q[11]);
-    ip_ck = net::checksum_update32(ip_ck, old_addr, na);
-    q[10] = static_cast<std::uint8_t>(ip_ck >> 8);
-    q[11] = static_cast<std::uint8_t>(ip_ck);
-
-    std::uint16_t old_port = 0;
-    std::uint16_t port = 0;
-    const std::size_t po = ihl + (src_side ? 0u : 2u);
-    const bool port_done = rewrite_port && q.size() >= po + 2;
-    if (port_done) {
-        old_port = static_cast<std::uint16_t>((q[po] << 8) | q[po + 1]);
-        port = new_port;
-        q[po] = static_cast<std::uint8_t>(port >> 8);
-        q[po + 1] = static_cast<std::uint8_t>(port);
-    }
-    if (q[9] == net::proto::kUdp && q.size() >= ihl + 8) {
-        auto ck = static_cast<std::uint16_t>((q[ihl + 6] << 8) | q[ihl + 7]);
-        if (ck != 0) { // zero means the quoted datagram had no checksum
-            ck = net::checksum_update32(ck, old_addr, na);
-            if (port_done) ck = net::checksum_update16(ck, old_port, port);
-            if (ck == 0) ck = 0xffff;
-            q[ihl + 6] = static_cast<std::uint8_t>(ck >> 8);
-            q[ihl + 7] = static_cast<std::uint8_t>(ck);
-        }
-    }
-}
 } // namespace
 
 CgnEngine::CgnEngine(sim::EventLoop& loop, CgnConfig cfg)
-    : loop_(loop), cfg_(cfg) {
+    : loop_(loop), cfg_(cfg),
+      profile_(make_profile(cfg_.pool_begin, cfg_.pool_end)),
+      icmp_(loop, profile_, kMaxIcmpQueries) {
     GK_EXPECTS(cfg_.pool_begin >= 1 && cfg_.pool_begin <= cfg_.pool_end);
     if (cfg_.block_size != 0) GK_EXPECTS(num_blocks() >= 1);
 }
@@ -80,7 +33,7 @@ void CgnEngine::set_addresses(net::Ipv4Addr access_addr,
     blocks_.resize(cfg_.block_size == 0
                        ? 1u
                        : static_cast<std::size_t>(num_blocks()));
-    icmp_queries_.clear();
+    icmp_.clear();
     stats_ = Stats{};
 }
 
@@ -134,22 +87,13 @@ DeviceProfile CgnEngine::make_profile(std::uint16_t begin,
 }
 
 CgnEngine::Slice* CgnEngine::slice_for_subscriber(net::Ipv4Addr src) {
-    if (cfg_.block_size == 0) {
-        auto& s = blocks_[0];
-        if (!s)
-            s = std::make_unique<Slice>(
-                loop_, net::Ipv4Addr{},
-                make_profile(cfg_.pool_begin, cfg_.pool_end));
-        return s.get();
-    }
-    const auto info = block_of(src);
-    auto& s = blocks_[static_cast<std::size_t>(info->index)];
-    if (!s) {
-        s = std::make_unique<Slice>(loop_, src,
-                                    make_profile(info->begin, info->end));
-        return s.get();
-    }
-    if (s->owner != src) {
+    const auto info = block_of(src); // nullopt: the one shared pool
+    auto& s = blocks_[info ? static_cast<std::size_t>(info->index) : 0];
+    if (!s)
+        s = std::make_unique<Slice>(
+            loop_, info ? src : net::Ipv4Addr{},
+            info ? make_profile(info->begin, info->end) : profile_);
+    if (info && s->owner != src) {
         // Deterministic NAT refusal: the block is statically someone
         // else's. An over-subscribed modulus surfaces as exhaustion for
         // the colliding address, never as port leakage across blocks.
@@ -157,6 +101,12 @@ CgnEngine::Slice* CgnEngine::slice_for_subscriber(net::Ipv4Addr src) {
         return nullptr;
     }
     return s.get();
+}
+
+CgnEngine::Slice* CgnEngine::find_slice(net::Ipv4Addr subscriber) {
+    const auto info = block_of(subscriber);
+    Slice* s = blocks_[info ? static_cast<std::size_t>(info->index) : 0].get();
+    return s != nullptr && (!info || s->owner == subscriber) ? s : nullptr;
 }
 
 CgnEngine::Slice* CgnEngine::slice_for_port(std::uint16_t external_port) {
@@ -173,271 +123,137 @@ CgnEngine::Slice* CgnEngine::slice_for_port(std::uint16_t external_port) {
 std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     GK_EXPECTS(configured());
     if (pkt.h.ttl <= 1) return std::nullopt; // caller emits Time Exceeded
-    if (!on_access_subnet(pkt.h.src)) {
+    return translate_serialized(
+        pkt, [this](net::PacketView& v) { return outbound(v); });
+}
+
+bool CgnEngine::outbound(net::PacketView& v) {
+    GK_EXPECTS(configured());
+    if (!on_access_subnet(v.src())) {
         ++stats_.dropped_policy;
-        return std::nullopt;
+        return false;
     }
-    switch (pkt.h.protocol) {
+    switch (v.protocol()) {
     case net::proto::kUdp:
-    case net::proto::kTcp:
-        return translate_serialized(
-            pkt, [this](net::PacketView& v) { return translate_out(v); });
-    case net::proto::kIcmp:
-        return outbound_icmp(pkt);
+    case net::proto::kTcp: {
+        // Screened before the slice lookup: a fragment or a header that
+        // does not parse must not activate (or collide on) a block.
+        if (const auto bad = L4Translator::screen(v)) {
+            if (*bad == L4Verdict::kFragment) ++stats_.dropped_policy;
+            return false;
+        }
+        Slice* s = slice_for_subscriber(v.src());
+        if (s == nullptr) return false; // block collision (counted)
+        if (s->l4.outbound(v, external_addr_) != L4Verdict::kForwarded) {
+            ++stats_.pool_exhausted;
+            return false;
+        }
+        ++stats_.translated_out;
+        return true;
+    }
+    case net::proto::kIcmp: {
+        const bool error = IcmpTranslator::is_error(v);
+        if (error) expose_quote(v);
+        const L4Verdict verdict = icmp_.outbound(v, external_addr_);
+        if (verdict == L4Verdict::kNoCapacity) ++stats_.dropped_policy;
+        if (verdict != L4Verdict::kForwarded) return false;
+        ++(error ? stats_.icmp_relayed : stats_.translated_out);
+        return true;
+    }
     default:
         // RFC 6888 scopes a CGN to the transports it can multiplex;
         // anything else cannot share the external address and is dropped.
         ++stats_.dropped_policy;
-        return std::nullopt;
+        return false;
     }
 }
 
-bool CgnEngine::translate_out(net::PacketView& v) {
-    // Screened before the slice lookup: a fragment or a header that does
-    // not parse must not activate (or collide on) a subscriber's block.
-    if (const auto bad = L4Translator::screen(v)) {
-        if (*bad == L4Verdict::kFragment) ++stats_.dropped_policy;
-        return false;
-    }
-    Slice* s = slice_for_subscriber(v.src());
-    if (s == nullptr) return false; // block collision (counted)
-    if (s->l4.outbound(v, external_addr_) != L4Verdict::kForwarded) {
-        ++stats_.pool_exhausted;
-        return false;
-    }
-    ++stats_.translated_out;
-    return true;
-}
-
-std::optional<net::Bytes> CgnEngine::outbound_icmp(
-    const net::Ipv4Packet& pkt) {
-    net::IcmpMessage msg;
-    try {
-        msg = net::IcmpMessage::parse(pkt.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = external_addr_;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-
-    if (msg.type == net::IcmpType::Echo) {
-        const QueryKey key{pkt.h.src, msg.echo_id(), pkt.h.dst};
-        if (!icmp_queries_.contains(key) &&
-            icmp_queries_.size() >= kMaxIcmpQueries) {
-            for (auto it = icmp_queries_.begin();
-                 it != icmp_queries_.end();) {
-                if (loop_.now() >= it->second)
-                    it = icmp_queries_.erase(it);
-                else
-                    ++it;
-            }
-            if (icmp_queries_.size() >= kMaxIcmpQueries) {
-                ++stats_.dropped_policy;
-                return std::nullopt;
+void CgnEngine::expose_quote(net::PacketView& v) {
+    // A subscriber-originated error (a home gateway's Time Exceeded, a
+    // port unreachable) quotes the inbound packet as the subscriber saw
+    // it: destination = subscriber address and internal port. Rewrite
+    // that half to the external view so the upstream sender can
+    // attribute the error to its own flow through both layers. Only
+    // slices that already exist are consulted: a quote must not claim a
+    // port block for the address it names.
+    auto q = IcmpQuote::of(v);
+    if (q && !q->later_fragment() && on_access_subnet(q->dst())) {
+        const std::uint8_t proto = q->protocol();
+        if (proto == net::proto::kIcmp) {
+            // About an inbound echo reply: the query id is preserved, so
+            // only the address needs the external view.
+            q->rewrite(IcmpQuote::Half::kDestination, external_addr_,
+                       std::nullopt, profile_);
+        } else if ((proto == net::proto::kUdp ||
+                    proto == net::proto::kTcp) &&
+                   q->transport_len() >= 4) {
+            if (Slice* s = find_slice(q->dst())) {
+                const FlowKey key{proto,
+                                  {q->dst(), q->dst_port()},
+                                  {q->src(), q->src_port()}};
+                const Binding* b =
+                    (proto == net::proto::kUdp ? s->udp : s->tcp)
+                        .find_outbound(key);
+                if (b != nullptr)
+                    q->rewrite(IcmpQuote::Half::kDestination, external_addr_,
+                               b->external_port, profile_);
             }
         }
-        icmp_queries_[key] = loop_.now() + kIcmpQueryTimeout;
-        out.payload = pkt.payload; // id preserved
-        ++stats_.translated_out;
-        return out.serialize();
     }
-
-    if (msg.is_error()) {
-        // A subscriber-originated error (a home gateway's Time Exceeded,
-        // a port unreachable) quotes the inbound packet as the subscriber
-        // saw it: destination = subscriber address and internal port.
-        // Rewrite that half to the external view so the upstream sender
-        // can attribute the error to its own flow through both layers.
-        net::Bytes quoted = msg.payload;
-        net::Ipv4Packet embedded;
-        bool parsed = true;
-        try {
-            embedded = net::Ipv4Packet::parse_prefix(msg.payload);
-        } catch (const net::ParseError&) {
-            parsed = false;
-        }
-        if (parsed && embedded.h.frag_offset == 0 &&
-            (embedded.h.protocol == net::proto::kUdp ||
-             embedded.h.protocol == net::proto::kTcp) &&
-            embedded.payload.size() >= 4 &&
-            on_access_subnet(embedded.h.dst)) {
-            const auto remote_port = static_cast<std::uint16_t>(
-                (embedded.payload[0] << 8) | embedded.payload[1]);
-            const auto int_port = static_cast<std::uint16_t>(
-                (embedded.payload[2] << 8) | embedded.payload[3]);
-            if (Slice* s = slice_for_subscriber(embedded.h.dst)) {
-                BindingTable& table =
-                    embedded.h.protocol == net::proto::kUdp ? s->udp
-                                                            : s->tcp;
-                const FlowKey key{embedded.h.protocol,
-                                  {embedded.h.dst, int_port},
-                                  {embedded.h.src, remote_port}};
-                if (const Binding* b = table.find_outbound(key))
-                    rewrite_quote(quoted, /*src_side=*/false,
-                                  external_addr_, b->external_port, true);
-            }
-        } else if (parsed && embedded.h.frag_offset == 0 &&
-                   embedded.h.protocol == net::proto::kIcmp &&
-                   on_access_subnet(embedded.h.dst)) {
-            // Error about an inbound echo reply: the quote's destination
-            // is the subscriber that sent the query; only the address
-            // needs the external view (the query id is preserved).
-            rewrite_quote(quoted, /*src_side=*/false, external_addr_, 0,
-                          false);
-        }
-        net::IcmpMessage fwd = msg;
-        fwd.payload = std::move(quoted);
-        out.payload = fwd.serialize(); // outer ICMP checksum recomputed
-        ++stats_.icmp_relayed;
-        return out.serialize();
-    }
-
-    // Remaining query types cross with outer translation only.
-    out.payload = pkt.payload;
-    ++stats_.translated_out;
-    return out.serialize();
+    v.refresh_icmp_checksum();
 }
 
 std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
                                              bool& handled) {
+    handled = false;
+    return translate_serialized(pkt, [&](net::PacketView& v) {
+        return inbound(v, handled);
+    });
+}
+
+bool CgnEngine::inbound(net::PacketView& v, bool& handled) {
     GK_EXPECTS(configured());
     handled = false;
-    if (pkt.h.dst != external_addr_) return std::nullopt;
-    switch (pkt.h.protocol) {
+    if (v.dst() != external_addr_) return false;
+    switch (v.protocol()) {
     case net::proto::kUdp:
-    case net::proto::kTcp:
-        return translate_serialized(pkt, [&](net::PacketView& v) {
-            return translate_in(v, handled);
-        });
-    case net::proto::kIcmp:
-        return inbound_icmp(pkt, handled);
-    default:
-        return std::nullopt; // CGN-host local (none expected)
-    }
-}
-
-bool CgnEngine::translate_in(net::PacketView& v, bool& handled) {
-    if (const auto bad = L4Translator::screen(v)) {
-        if (*bad == L4Verdict::kFragment) {
-            handled = true;
-            ++stats_.dropped_policy;
-        }
-        return false; // an unparseable header is for the CGN's own stack
-    }
-    Slice* s = slice_for_port(v.dst_port());
-    if (s == nullptr) return false; // outside the pool: host-local
-    if (s->l4.inbound(v, external_addr_) != L4Verdict::kForwarded) {
-        ++stats_.dropped_no_binding;
-        return false; // unsolicited: falls to the CGN's own stack
-    }
-    handled = true;
-    ++stats_.translated_in;
-    return true;
-}
-
-std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
-                                                  bool& handled) {
-    net::IcmpMessage msg;
-    try {
-        msg = net::IcmpMessage::parse(pkt.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-
-    if (msg.type == net::IcmpType::EchoReply) {
-        for (auto it = icmp_queries_.begin(); it != icmp_queries_.end();) {
-            if (loop_.now() >= it->second) {
-                it = icmp_queries_.erase(it);
-                continue;
-            }
-            if (it->first.id == msg.echo_id() &&
-                it->first.remote == pkt.h.src) {
+    case net::proto::kTcp: {
+        if (const auto bad = L4Translator::screen(v)) {
+            if (*bad == L4Verdict::kFragment) {
                 handled = true;
-                net::Ipv4Packet out;
-                out.h = pkt.h;
-                out.h.dst = it->first.internal;
-                out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-                out.payload = pkt.payload;
-                ++stats_.translated_in;
-                return out.serialize();
+                ++stats_.dropped_policy;
             }
-            ++it;
+            return false; // an unparseable header is for the CGN's stack
         }
-        return std::nullopt; // the CGN's own ping, if any
-    }
-
-    if (!msg.is_error()) return std::nullopt;
-
-    net::Ipv4Packet embedded;
-    try {
-        embedded = net::Ipv4Packet::parse_prefix(msg.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    if (embedded.h.src != external_addr_) return std::nullopt; // not ours
-    if (embedded.h.frag_offset != 0) {
-        // Unattributable: the bytes where ports would sit are mid-stream
-        // payload.
+        Slice* s = slice_for_port(v.dst_port());
+        if (s == nullptr) return false; // outside the pool: host-local
+        if (s->l4.inbound(v, external_addr_) != L4Verdict::kForwarded) {
+            ++stats_.dropped_no_binding;
+            return false; // unsolicited: falls to the CGN's own stack
+        }
         handled = true;
-        ++stats_.icmp_dropped;
-        return std::nullopt;
+        ++stats_.translated_in;
+        return true;
     }
-
-    if (embedded.h.protocol == net::proto::kIcmp) {
-        if (embedded.payload.size() < 8) return std::nullopt;
-        const auto id = static_cast<std::uint16_t>(
-            (embedded.payload[4] << 8) | embedded.payload[5]);
-        for (const auto& [key, expires] : icmp_queries_) {
-            if (key.id != id || key.remote != embedded.h.dst) continue;
-            handled = true;
-            net::Bytes quoted = msg.payload;
-            rewrite_quote(quoted, /*src_side=*/true, key.internal, 0,
-                          false);
-            net::IcmpMessage fwd = msg;
-            fwd.payload = std::move(quoted);
-            net::Ipv4Packet out;
-            out.h = pkt.h;
-            out.h.dst = key.internal;
-            out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-            out.payload = fwd.serialize();
-            ++stats_.icmp_relayed;
-            return out.serialize();
-        }
-        return std::nullopt;
+    case net::proto::kIcmp: {
+        const bool error = IcmpTranslator::is_error(v);
+        bool torn_down = false; // never, under the all-correct profile
+        const L4Verdict verdict = icmp_.inbound(
+            v, external_addr_,
+            [this](std::uint16_t port) -> L4Translator* {
+                Slice* s = slice_for_port(port);
+                return s != nullptr ? &s->l4 : nullptr;
+            },
+            torn_down);
+        handled = verdict != L4Verdict::kNotOurs;
+        if (verdict == L4Verdict::kErrorDropped) ++stats_.icmp_dropped;
+        if (verdict != L4Verdict::kForwarded) return false;
+        ++(error ? stats_.icmp_relayed : stats_.translated_in);
+        return true;
     }
-
-    if (embedded.h.protocol != net::proto::kUdp &&
-        embedded.h.protocol != net::proto::kTcp)
-        return std::nullopt;
-    if (embedded.payload.size() < 4) return std::nullopt;
-
-    const auto ext_port = static_cast<std::uint16_t>(
-        (embedded.payload[0] << 8) | embedded.payload[1]);
-    const auto remote_port = static_cast<std::uint16_t>(
-        (embedded.payload[2] << 8) | embedded.payload[3]);
-    Slice* s = slice_for_port(ext_port);
-    if (s == nullptr) return std::nullopt;
-    BindingTable& table =
-        embedded.h.protocol == net::proto::kUdp ? s->udp : s->tcp;
-    Binding* b = table.find_inbound(ext_port, {embedded.h.dst, remote_port});
-    if (b == nullptr) return std::nullopt;
-    handled = true;
-
-    net::Bytes quoted = msg.payload;
-    rewrite_quote(quoted, /*src_side=*/true, b->key.internal.addr,
-                  b->key.internal.port, true);
-    net::IcmpMessage fwd = msg;
-    fwd.payload = std::move(quoted);
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.dst = b->key.internal.addr;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-    out.payload = fwd.serialize();
-    ++stats_.icmp_relayed;
-    return out.serialize();
+    default:
+        return false; // CGN-host local (none expected)
+    }
 }
 
 std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
@@ -464,17 +280,10 @@ std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
 
 std::size_t CgnEngine::live_bindings(net::Ipv4Addr subscriber) {
     GK_EXPECTS(configured());
-    if (cfg_.block_size == 0) {
-        // Shared pool: per-subscriber attribution would need a table
-        // walk; report the pool-wide total (what exhaustion is felt
-        // against).
-        auto* s = blocks_[0].get();
-        return s == nullptr ? 0 : s->udp.size() + s->tcp.size();
-    }
-    const auto info = block_of(subscriber);
-    auto* s = blocks_[static_cast<std::size_t>(info->index)].get();
-    if (s == nullptr || s->owner != subscriber) return 0;
-    return s->udp.size() + s->tcp.size();
+    // Shared pool: per-subscriber attribution would need a table walk;
+    // report the pool-wide total (what exhaustion is felt against).
+    Slice* s = find_slice(subscriber);
+    return s == nullptr ? 0 : s->udp.size() + s->tcp.size();
 }
 
 void CgnEngine::flush() {
@@ -483,11 +292,11 @@ void CgnEngine::flush() {
         s->udp.clear();
         s->tcp.clear();
     }
-    icmp_queries_.clear();
+    icmp_.clear();
 }
 
 CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)
-    : loop_(loop), config_(std::move(config)),
+    : config_(std::move(config)),
       host_(loop, "cgn", net::MacAddr::from_index(config_.mac_index)),
       wan_nic_(host_.add_nic(
           net::MacAddr::from_index(config_.mac_index + 1))),
@@ -514,7 +323,7 @@ CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)
             // Subscriber traffic addressed to the shared external
             // address: hairpin candidate (RFC 6888 REQ-9).
             if (pkt.h.ttl <= 1) {
-                ttl_expired(pkt);
+                host_.send_time_exceeded(pkt);
                 return true;
             }
             auto out = engine_.hairpin(pkt);
@@ -567,7 +376,7 @@ void CgnGateway::on_access_ip(const net::Ipv4Packet& pkt) {
     // Forwarding-path TTL check precedes translation (Linux order), so
     // the Time Exceeded quote embeds the pristine received packet.
     if (pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
+        host_.send_time_exceeded(pkt);
         return;
     }
     const auto dst = pkt.h.dst;
@@ -583,7 +392,7 @@ bool CgnGateway::on_wan_local(const net::Ipv4Packet& pkt) {
     // Only a packet the engine attributes to a subscriber flow is a
     // forwarding event; its TTL expiring here draws a Time Exceeded.
     if (out && pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
+        host_.send_time_exceeded(pkt);
         return true;
     }
     if (out) {
@@ -598,15 +407,6 @@ void CgnGateway::emit(net::Bytes datagram, net::Ipv4Addr dst) {
     if (route == nullptr) return;
     host_.send_raw(*route->iface, std::move(datagram),
                    route->via ? *route->via : dst);
-}
-
-void CgnGateway::ttl_expired(const net::Ipv4Packet& pkt) {
-    if (pkt.h.src.is_unspecified() || pkt.h.src.is_broadcast()) return;
-    const auto original = pkt.serialize();
-    const auto err = net::IcmpMessage::make_error(
-        net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded, 0,
-        original);
-    host_.send_icmp(net::Ipv4Addr::any(), pkt.h.src, err);
 }
 
 } // namespace gatekit::gateway

@@ -9,19 +9,21 @@
 // TTL is decremented per hop. Its knobs are the deployment parameters an
 // operator chooses: the port pool, the per-subscriber block carve
 // (RFC 7422 deterministic NAT), EIM vs. EDM mapping, and hairpinning.
-// UDP/TCP go through the same L4Translator as every home gateway: each
-// subscriber block (or the one shared pool) is a UDP + TCP BindingTable
-// pair driven by an all-correct DeviceProfile. The gateway's datapath
-// rides the same Host/NetIf packet-pool stack as every other device.
+// Every protocol goes through the cores every home gateway uses, under
+// an all-correct DeviceProfile: UDP/TCP through the L4Translator of the
+// subscriber's block (a UDP + TCP BindingTable pair per block, or one
+// shared pool), ICMP through one IcmpTranslator; unknown transports are
+// dropped. The gateway's datapath rides the same Host/NetIf packet-pool
+// stack as every other device.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "gateway/binding_table.hpp"
+#include "gateway/icmp_translator.hpp"
 #include "gateway/l4_translator.hpp"
 #include "gateway/profile.hpp"
 #include "stack/dhcp_service.hpp"
@@ -98,6 +100,12 @@ public:
     std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
+    /// The datagram entry points above serialize once and come here:
+    /// translate in place, true when the view is to be forwarded. UDP/TCP
+    /// go through the subscriber's (inbound: the destination port's)
+    /// slice. Verdicts land in stats(); `handled` as for the datagrams.
+    bool outbound(net::PacketView& v);
+    bool inbound(net::PacketView& v, bool& handled);
     /// Subscriber-to-subscriber traffic addressed to the external
     /// address (UDP only, like the consumer devices' hairpin).
     std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
@@ -142,22 +150,23 @@ private:
     };
 
     Slice* slice_for_subscriber(net::Ipv4Addr src);
+    /// The subscriber's slice if it already exists; never claims a block.
+    Slice* find_slice(net::Ipv4Addr subscriber);
     Slice* slice_for_port(std::uint16_t external_port);
     DeviceProfile make_profile(std::uint16_t begin, std::uint16_t end) const;
     bool on_access_subnet(net::Ipv4Addr a) const {
         return a.same_subnet(access_addr_, access_prefix_len_);
     }
 
-    /// UDP/TCP in place through the subscriber's (or the destination
-    /// port's) slice; the verdicts land in stats_.
-    bool translate_out(net::PacketView& v);
-    bool translate_in(net::PacketView& v, bool& handled);
-    std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
-                                           bool& handled);
+    /// Rewrite the quote of a subscriber's outbound error to the
+    /// external view and recompute the ICMP checksum.
+    void expose_quote(net::PacketView& v);
 
     sim::EventLoop& loop_;
     CgnConfig cfg_;
+    /// The whole pool's all-correct profile, for ICMP.
+    DeviceProfile profile_;
+    IcmpTranslator icmp_;
     net::Ipv4Addr access_addr_;
     int access_prefix_len_ = 24;
     net::Ipv4Addr external_addr_;
@@ -165,25 +174,6 @@ private:
     /// Block index -> slice (created on first use); shared mode uses
     /// blocks_[0] as the single full-pool slice.
     std::vector<std::unique_ptr<Slice>> blocks_;
-
-    struct QueryKey {
-        net::Ipv4Addr internal;
-        std::uint16_t id = 0;
-        net::Ipv4Addr remote;
-        friend constexpr auto operator<=>(const QueryKey&,
-                                          const QueryKey&) = default;
-    };
-    struct QueryKeyHash {
-        std::size_t operator()(const QueryKey& k) const noexcept {
-            std::uint64_t x = (std::uint64_t{k.internal.value()} << 32) |
-                              k.remote.value();
-            x ^= std::uint64_t{k.id} << 13;
-            x *= 0x9e3779b97f4a7c15ULL;
-            x ^= x >> 29;
-            return static_cast<std::size_t>(x);
-        }
-    };
-    std::unordered_map<QueryKey, sim::TimePoint, QueryKeyHash> icmp_queries_;
 
     Stats stats_;
 };
@@ -230,9 +220,7 @@ private:
     void on_access_ip(const net::Ipv4Packet& pkt);
     bool on_wan_local(const net::Ipv4Packet& pkt);
     void emit(net::Bytes datagram, net::Ipv4Addr dst);
-    void ttl_expired(const net::Ipv4Packet& pkt);
 
-    sim::EventLoop& loop_;
     Config config_;
     stack::Host host_;
     stack::NetIf& wan_nic_;

@@ -36,19 +36,20 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
                      UnknownProtocolPolicy::Untranslated &&
                  pkt.h.dst.same_subnet(config_.lan_addr,
                                        config_.lan_prefix_len)) {
-            net::Ipv4Packet out = pkt;
-            if (config_.profile.decrement_ttl) {
-                if (pkt.h.ttl <= 1) {
-                    ttl_expired(pkt);
-                    return;
-                }
-                out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
+            const bool decrement = config_.profile.decrement_ttl;
+            if (decrement && pkt.h.ttl <= 1) {
+                host_.send_time_exceeded(pkt);
+                return;
             }
-            auto bytes = out.serialize();
-            const auto dst = out.h.dst;
-            const std::size_t len = bytes.size();
+            auto out = translate_serialized(pkt, [&](net::PacketView& v) {
+                if (decrement) v.decrement_ttl();
+                return true;
+            });
+            if (!out) return;
+            const auto dst = pkt.h.dst;
+            const std::size_t len = out->size();
             fwd_.submit(Direction::Down, len,
-                        [this, bytes = std::move(bytes), dst]() mutable {
+                        [this, bytes = std::move(*out), dst]() mutable {
                             emit_lan(std::move(bytes), dst);
                         });
         }
@@ -240,8 +241,7 @@ void HomeGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
             // the final destination.
             wan_if_.set_gateway(lease.router);
         }
-        nat_.set_addresses(config_.lan_addr, config_.lan_prefix_len,
-                           lease.addr);
+        nat_.set_addresses(lease.addr);
 
         // LAN-side services come up once the uplink works.
         stack::DhcpServerConfig lan_cfg;
@@ -294,7 +294,7 @@ void HomeGateway::on_lan_ip(stack::Iface&, const net::Ipv4Packet& pkt) {
     // Exceeded) precedes the FORWARD chain. The NAT engine's own
     // ttl<=1 drop stays as a backstop for direct engine users.
     if (config_.profile.decrement_ttl && pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
+        host_.send_time_exceeded(pkt);
         return;
     }
     // Outbound translation never rewrites the destination, so route on
@@ -302,17 +302,11 @@ void HomeGateway::on_lan_ip(stack::Iface&, const net::Ipv4Packet& pkt) {
     // rewritten bytes — drop accounting and forwarding then agree on
     // one view of the packet.
     const auto dst = pkt.h.dst;
-    std::optional<net::Bytes> out;
-    if (is_udp_or_tcp(pkt.h.protocol)) {
-        // A frame the zero-copy hook did not take (one not sent to the
-        // gateway's MAC) takes the same steps on a serialized copy.
-        out = translate_serialized(
-            pkt, [this](net::PacketView& v) { return lan_to_wan(v); });
-    } else if (!filter_active(filter_) ||
-               filter_pass({pkt.h.protocol, pkt.h.src.value(),
-                            pkt.h.dst.value(), 0, 0})) {
-        out = nat_.outbound(pkt); // no ports for the chain to match
-    }
+    // ICMP, other transports and any frame the zero-copy hook did not
+    // take (one not sent to the gateway's MAC) take the hook's steps on
+    // a serialized copy.
+    auto out = translate_serialized(
+        pkt, [this](net::PacketView& v) { return lan_to_wan(v); });
     if (!out) return;
     // Read the size before the lambda capture moves the buffer out.
     const std::size_t len = out->size();
@@ -330,7 +324,7 @@ bool HomeGateway::on_wan_local(const net::Ipv4Packet& pkt) {
     // only now is a TTL of 1 a forwarding event rather than local
     // delivery. Pre-fix the translated packet left here with TTL 0.
     if (out && config_.profile.decrement_ttl && pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
+        host_.send_time_exceeded(pkt);
         return true;
     }
     if (out) {
@@ -350,17 +344,6 @@ bool HomeGateway::on_wan_local(const net::Ipv4Packet& pkt) {
                     });
     }
     return true;
-}
-
-void HomeGateway::ttl_expired(const net::Ipv4Packet& pkt) {
-    if (pkt.h.src.is_unspecified() || pkt.h.src.is_broadcast()) return;
-    const auto original = pkt.serialize();
-    const auto err = net::IcmpMessage::make_error(
-        net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded, 0,
-        original);
-    // Routed back toward the source; the egress interface's address
-    // becomes the ICMP source (LAN address upstream, WAN downstream).
-    host_.send_icmp(net::Ipv4Addr::any(), pkt.h.src, err);
 }
 
 void HomeGateway::emit_wan(net::Bytes datagram, net::Ipv4Addr dst) {

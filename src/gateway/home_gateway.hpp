@@ -105,7 +105,6 @@ private:
     /// would have decremented the TTL to zero. Both datapath directions
     /// land here, so cascaded (NAT444) chains report the expiring hop
     /// instead of silently eating traceroute probes.
-    void ttl_expired(const net::Ipv4Packet& pkt);
     void emit_wan(net::Bytes datagram, net::Ipv4Addr dst);
     void emit_lan(net::Bytes datagram, net::Ipv4Addr dst);
 

@@ -1,5 +1,7 @@
 #include "gateway/l4_translator.hpp"
 
+#include "gateway/icmp_translator.hpp"
+#include "net/tcp_header.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
@@ -154,10 +156,61 @@ L4Verdict L4Translator::hairpin(net::PacketView& v, net::Ipv4Addr external,
     return L4Verdict::kForwarded;
 }
 
+L4Verdict L4Translator::inbound_error(net::PacketView& v, IcmpQuote& q,
+                                      IcmpKind kind, net::Ipv4Addr external,
+                                      bool& torn_down) {
+    if (profile_.validate_embedded_binding && !q.complete())
+        return L4Verdict::kQuoteRejected;
+    const bool tcp = q.protocol() == net::proto::kTcp;
+    BindingTable& table = tcp ? tcp_ : udp_;
+    const net::Ipv4Addr remote = q.dst();
+    Binding* b = table.find_inbound(q.src_port(), {remote, q.dst_port()});
+    if (b == nullptr) return L4Verdict::kNotOurs;
+    const FlowKey key = b->key;
+    const bool relay =
+        (tcp ? profile_.icmp_tcp : profile_.icmp_udp).translates(kind);
+    if (relay && tcp && profile_.tcp_icmp_becomes_rst) {
+        // ls2: instead of relaying the error, fabricate a TCP RST toward
+        // the internal host in its place. The RST is invalid: sequence
+        // and ack numbers are zero, so a correct TCP stack ignores it.
+        net::TcpSegment rst;
+        rst.src_port = key.remote.port;
+        rst.dst_port = key.internal.port;
+        rst.flags.rst = true;
+        net::Ipv4Packet out;
+        out.h.protocol = net::proto::kTcp;
+        out.h.src = remote; // the remote the flow was talking to
+        out.h.dst = key.internal.addr;
+        out.h.ttl = 64;
+        out.payload = rst.serialize(out.h.src, out.h.dst);
+        v.replace(out.serialize());
+    } else if (relay) {
+        q.rewrite(IcmpQuote::Half::kSource, key.internal.addr,
+                  key.internal.port, profile_);
+        v.refresh_icmp_checksum();
+        v.set_dst(key.internal.addr);
+        forward_ip(v, profile_, external);
+    }
+    // Conntrack-style teardown posture: an accepted hard error purges
+    // the binding it names, whether or not the device also relays the
+    // error into the LAN. This is the ReDAN off-path DoS surface.
+    torn_down = profile_.icmp_error_teardown &&
+                (kind == IcmpKind::PortUnreachable ||
+                 kind == IcmpKind::HostUnreachable ||
+                 kind == IcmpKind::ProtoUnreachable);
+    if (torn_down) table.remove(key);
+    return relay ? L4Verdict::kForwarded : L4Verdict::kErrorDropped;
+}
+
+void forward_ip(net::PacketView& v, const DeviceProfile& p,
+                net::Ipv4Addr external) {
+    if (p.decrement_ttl) v.decrement_ttl();
+    if (p.honor_record_route) v.record_route(external);
+}
+
 void L4Translator::finish(net::PacketView& v, net::Ipv4Addr external,
                           Binding& b, std::uint8_t tcp_flags) {
-    if (profile_.decrement_ttl) v.decrement_ttl();
-    if (profile_.honor_record_route) v.record_route(external);
+    forward_ip(v, profile_, external);
     v.trim_to_l4();
     if (v.protocol() != net::proto::kTcp) return;
     if ((tcp_flags & kRst) != 0) {

@@ -4,16 +4,19 @@
 // leave stale checksums inside ICMP payloads, convert ICMP errors into
 // bogus TCP RSTs, or fall back to IP-only translation for transports they
 // do not understand. All of Table 2 is generated by these code paths.
-// UDP/TCP address and port translation is the same on every device and
-// is the shared L4Translator, driven by this device's profile.
+// Every protocol is translated in place on a PacketView by the cores the
+// CGN shares, driven by this device's profile: UDP/TCP by L4Translator,
+// ICMP by IcmpTranslator; unknown transports get the IP-only rewrite
+// below.
 #pragma once
 
+#include <map>
 #include <optional>
 
 #include "gateway/binding_table.hpp"
+#include "gateway/icmp_translator.hpp"
 #include "gateway/l4_translator.hpp"
 #include "gateway/profile.hpp"
-#include "net/icmp.hpp"
 #include "net/ipv4.hpp"
 
 namespace gatekit::gateway {
@@ -22,9 +25,8 @@ class NatEngine {
 public:
     NatEngine(sim::EventLoop& loop, const DeviceProfile& profile);
 
-    /// Configure after DHCP: addresses the translator rewrites between.
-    void set_addresses(net::Ipv4Addr lan_addr, int lan_prefix_len,
-                       net::Ipv4Addr wan_addr);
+    /// Configure after DHCP: the address LAN flows are translated to.
+    void set_addresses(net::Ipv4Addr wan_addr) { wan_addr_ = wan_addr; }
     bool configured() const { return !wan_addr_.is_unspecified(); }
     net::Ipv4Addr wan_addr() const { return wan_addr_; }
 
@@ -41,11 +43,11 @@ public:
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
 
-    /// Translate a LAN->WAN UDP/TCP packet in place (L4Translator). The
-    /// datagram entry points above take this route for UDP/TCP too.
+    /// Translate a LAN->WAN datagram of any protocol in place. The
+    /// datagram entry points above serialize once and come here.
     L4Verdict outbound(net::PacketView& v);
     /// WAN->LAN counterpart. kNotOurs leaves the packet untouched for the
-    /// gateway's own stack.
+    /// gateway's own stack; other drops were the NAT's (and counted).
     L4Verdict inbound(net::PacketView& v);
 
     /// Hairpin a LAN->WAN-address datagram back into the LAN (UDP only;
@@ -59,7 +61,7 @@ public:
     /// Side-table occupancy, for the adversarial exhaustion audits: both
     /// are hard-capped, so a flood of distinct ICMP query ids or unknown-
     /// protocol remotes cannot grow translation state without bound.
-    std::size_t icmp_query_count() const { return icmp_queries_.size(); }
+    std::size_t icmp_query_count() const { return icmp_.query_count(); }
     std::size_t ip_only_count() const { return ip_only_.size(); }
 
     /// Forget all translation state (UDP/TCP bindings, ICMP query ids,
@@ -90,50 +92,22 @@ public:
                             const std::string& device);
 
 private:
-    /// Common IP header rewrite for translated ICMP packets.
-    net::Ipv4Packet translated_header(const net::Ipv4Packet& pkt,
-                                      net::Ipv4Addr new_src,
-                                      net::Ipv4Addr new_dst) const;
     /// Bump the counters a drop verdict stands for.
     void count_drop(L4Verdict v);
-
-    std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> outbound_unknown(const net::Ipv4Packet& pkt);
-
-    std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
-                                           bool& handled);
-    std::optional<net::Bytes> inbound_unknown(const net::Ipv4Packet& pkt,
-                                              bool& handled);
-
-    /// Translate the datagram quoted inside an inbound ICMP error back to
-    /// the internal host's view, honoring the device's bug knobs.
-    net::Bytes translate_embedded(const net::Bytes& quoted,
-                                  const Binding& binding,
-                                  std::uint8_t proto) const;
-    net::Bytes synthesize_rst_from_icmp(const net::Ipv4Packet& embedded,
-                                        const Binding& binding) const;
-    static std::optional<IcmpKind> classify_icmp(const net::IcmpMessage& m);
-    /// Consume one unit of the per-second inbound-error budget; false
-    /// once the window's icmp_error_rate_limit is spent.
-    bool icmp_error_admitted();
-    /// Structural check of an error's embedded quote for the
-    /// validate_embedded_binding knob: full 8 transport bytes and, for
-    /// UDP, a sane embedded length field.
-    static bool embedded_quote_valid(const net::Ipv4Packet& embedded);
+    /// Unknown transports per UnknownProtocolPolicy: dropped, forwarded
+    /// as by a plain router, or IP-only translated (addresses and the IP
+    /// checksum only; the transport bytes cross untouched).
+    L4Verdict outbound_unknown(net::PacketView& v);
+    L4Verdict inbound_unknown(net::PacketView& v);
 
     sim::EventLoop& loop_;
     const DeviceProfile& profile_;
     BindingTable udp_;
     BindingTable tcp_;
     L4Translator l4_;
-    net::Ipv4Addr lan_addr_;
-    int lan_prefix_len_ = 24;
+    IcmpTranslator icmp_;
     net::Ipv4Addr wan_addr_;
     Stats stats_;
-
-    // icmp_error_rate_limit window (only advanced while the knob is on).
-    sim::TimePoint icmp_err_window_{};
-    int icmp_err_count_ = 0;
 
     // Instrumentation; all nullptr until bind_observability.
     obs::Counter* m_drop_capacity_ = nullptr;
@@ -146,20 +120,6 @@ private:
     obs::Counter* m_wan_syn_dropped_ = nullptr;
     obs::Counter* m_wan_syn_tarpitted_ = nullptr;
     obs::Counter* m_wan_stray_dropped_ = nullptr;
-
-    // ICMP echo (query) bindings: internal (addr, id, remote) <-> id.
-    struct IcmpQueryKey {
-        net::Ipv4Addr internal;
-        std::uint16_t id = 0;
-        net::Ipv4Addr remote;
-        friend constexpr auto operator<=>(const IcmpQueryKey&,
-                                          const IcmpQueryKey&) = default;
-    };
-    struct IcmpQueryBinding {
-        IcmpQueryKey key;
-        sim::TimePoint expires_at{};
-    };
-    std::map<IcmpQueryKey, IcmpQueryBinding> icmp_queries_;
 
     // IP-only bindings for unknown transports: (proto, remote) -> internal.
     struct IpOnlyKey {

@@ -1,6 +1,9 @@
 #include "net/packet_view.hpp"
 
+#include <algorithm>
+
 #include "net/checksum.hpp"
+#include "util/assert.hpp"
 
 namespace gatekit::net {
 
@@ -143,6 +146,19 @@ void PacketView::trim_to_l4() {
     if (!has_l4_ || l4_end_ >= total_) return;
     ip_fixup16(2, total_, l4_end_);
     total_ = l4_end_;
+}
+
+void PacketView::refresh_icmp_checksum() {
+    const auto icmp = payload();
+    icmp[2] = 0;
+    icmp[3] = 0;
+    write16(ihl_ + 2u, internet_checksum(icmp));
+}
+
+void PacketView::replace(std::span<const std::uint8_t> datagram) {
+    GK_EXPECTS(datagram.size() <= total_);
+    std::copy(datagram.begin(), datagram.end(), data_);
+    *this = parse({data_, datagram.size()}).value();
 }
 
 } // namespace gatekit::net

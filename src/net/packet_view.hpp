@@ -5,14 +5,16 @@
 // buffer and is invalidated by anything that reallocates or frees it
 // (see DESIGN.md §13 for the discipline).
 //
-// It is the only way UDP/TCP is translated (gateway::L4Translator). For
+// It is the only way the NAT translates (gateway::L4Translator for
+// UDP/TCP, gateway::IcmpTranslator for ICMP, IP-only rewrites). For
 // any packet whose wire checksums were correct on arrival the in-place
 // result is byte-identical to re-serializing the rewritten packet: the
 // serializer emits the unique representative of the checksum's residue
 // class in [0, 0xfffe] (IPv4/TCP) or [1, 0xffff] (UDP, where 0 means
 // "no checksum"), and the incremental form is closed over exactly those
 // ranges. A UDP checksum of 0 stays 0. Packets with incorrect checksums
-// keep their badness; no translation step repairs them.
+// keep their badness; no translation step repairs them, except that a
+// relayed ICMP error's checksum is recomputed over its rewritten quote.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +57,11 @@ public:
     std::uint8_t tcp_flags() const {
         return proto_ == proto::kTcp && has_l4_ ? data_[ihl_ + 13] : 0;
     }
+    /// Everything past the IP header up to total_len(): the ICMP message
+    /// of an ICMP datagram, the opaque transport of an unknown protocol.
+    std::span<std::uint8_t> payload() const {
+        return {data_ + ihl_, static_cast<std::size_t>(total_ - ihl_)};
+    }
 
     // --- in-place mutation (incremental checksum fixup) ----------------
     void set_src(Ipv4Addr a);
@@ -70,6 +77,12 @@ public:
     /// length is shorter than the IP payload (the bytes past it belong
     /// to nothing). total_len() shrinks; the frame is the caller's.
     void trim_to_l4();
+    /// Recompute the ICMP checksum over payload() after the message
+    /// changed (RFC 792); the same value the serializer writes.
+    void refresh_icmp_checksum();
+    /// Overwrite the datagram with `datagram` (a valid IPv4 datagram no
+    /// longer than total_len()) and view that instead.
+    void replace(std::span<const std::uint8_t> datagram);
 
 private:
     void ip_fixup16(std::size_t off, std::uint16_t old_w, std::uint16_t new_w);

@@ -161,7 +161,7 @@ void Host::deliver_to_stack(Iface& iface, const net::Ipv4Packet& pkt,
     default:
         if (icmp_enabled_)
             send_icmp_error(pkt, net::IcmpType::DestUnreachable,
-                            net::icmp_code::kProtoUnreachable);
+                            net::icmp_code::kProtoUnreachable, pkt.h.dst);
         break;
     }
 }
@@ -231,7 +231,7 @@ void Host::handle_udp(Iface& iface, const net::Ipv4Packet& pkt) {
     }
     if (icmp_enabled_ && !pkt.h.dst.is_broadcast())
         send_icmp_error(pkt, net::IcmpType::DestUnreachable,
-                        net::icmp_code::kPortUnreachable);
+                        net::icmp_code::kPortUnreachable, pkt.h.dst);
 }
 
 void Host::handle_tcp(Iface&, const net::Ipv4Packet& pkt) {
@@ -320,12 +320,18 @@ void Host::send_icmp(net::Ipv4Addr src, net::Ipv4Addr dst,
 }
 
 void Host::send_icmp_error(const net::Ipv4Packet& offending,
-                           net::IcmpType type, std::uint8_t code) {
+                           net::IcmpType type, std::uint8_t code,
+                           net::Ipv4Addr src) {
     if (offending.h.src.is_unspecified() || offending.h.src.is_broadcast())
         return;
     const auto original = offending.serialize();
     const auto err = net::IcmpMessage::make_error(type, code, 0, original);
-    send_icmp(offending.h.dst, offending.h.src, err);
+    send_icmp(src, offending.h.src, err);
+}
+
+void Host::send_time_exceeded(const net::Ipv4Packet& expired) {
+    send_icmp_error(expired, net::IcmpType::TimeExceeded,
+                    net::icmp_code::kTtlExceeded, net::Ipv4Addr::any());
 }
 
 void Host::send_tcp_rst(const net::Ipv4Packet& pkt,

@@ -110,6 +110,11 @@ public:
                                             const net::IcmpMessage&)>;
     void set_icmp_observer(IcmpObserver obs) { icmp_observer_ = std::move(obs); }
 
+    /// Time Exceeded for a datagram whose TTL ran out while this host
+    /// forwarded it. Sent from the interface facing the sender, as a
+    /// router answers traceroute.
+    void send_time_exceeded(const net::Ipv4Packet& expired);
+
     /// Observe every IP datagram delivered locally (diagnostics/probes).
     using IpObserver = std::function<void(Iface&, const net::Ipv4Packet&,
                                           std::span<const std::uint8_t>)>;
@@ -174,8 +179,11 @@ private:
     void handle_tcp(Iface& iface, const net::Ipv4Packet& pkt);
     void handle_sctp(Iface& iface, const net::Ipv4Packet& pkt);
     void handle_dccp(Iface& iface, const net::Ipv4Packet& pkt);
+    /// Quote `offending` back to its source, from `src` (unspecified:
+    /// the egress interface's address).
     void send_icmp_error(const net::Ipv4Packet& offending,
-                         net::IcmpType type, std::uint8_t code);
+                         net::IcmpType type, std::uint8_t code,
+                         net::Ipv4Addr src);
     void send_tcp_rst(const net::Ipv4Packet& pkt,
                       const net::TcpSegment& seg);
     /// Remove a finished connection from the table (deferred from socket

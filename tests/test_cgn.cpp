@@ -419,6 +419,31 @@ TEST(CgnEngine, FragmentsAreDroppedBeforeAnyBlockIsTouched) {
     EXPECT_EQ(bed.engine.stats().dropped_policy, 3u);
 }
 
+// Regression: the quote lookup for a subscriber's outbound ICMP error
+// went through the block-allocating subscriber lookup, so an error that
+// quoted an idle address claimed that address's RFC 7422 block and
+// locked out the block's rightful subscriber.
+TEST(CgnEngine, OutboundErrorQuoteClaimsNoPortBlock) {
+    EngineBed bed;
+    const net::Ipv4Addr sender(100, 64, 0, 100);    // block 7
+    const net::Ipv4Addr idle(100, 64, 0, 132);      // block 8
+    const net::Ipv4Addr neighbour(100, 64, 0, 101); // block 8
+    net::Ipv4Packet err;
+    err.h.protocol = net::proto::kIcmp;
+    err.h.src = sender;
+    err.h.dst = kRemote;
+    err.payload =
+        net::IcmpMessage::make_error(
+            net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable,
+            0, udp_pkt(kRemote, 7000, idle, 40000, {}).serialize())
+            .serialize();
+    EXPECT_TRUE(bed.engine.outbound(err).has_value());
+    EXPECT_TRUE(bed.engine.outbound(udp_pkt(neighbour, 41000, kRemote, 7000))
+                    .has_value());
+    EXPECT_EQ(bed.engine.stats().block_collisions, 0u);
+    EXPECT_EQ(bed.engine.live_bindings(neighbour), 1u);
+}
+
 // --- Satellite: embedded-quote rewriting (the double-NAT ICMP fix) --------
 
 // Regression: an inbound ICMP error's quote must be rewritten to the
@@ -758,21 +783,23 @@ TEST(CgnGolden, OutboundSubscriberErrorQuoteRewritten) {
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 3u);
 }
 
+// An error whose code no translation set names is not the CGN's to
+// relay, the same rule as the home NAT's: a spoofed error with a nonsense
+// code must not ride a flow's binding into the access network.
 TEST(CgnGolden, UnclassifiedErrorCode) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
     const auto out =
         bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
     ASSERT_TRUE(out.has_value());
-    bool handled = false;
+    bool handled = true;
     // Destination Unreachable code 13 (administratively prohibited).
     EXPECT_EQ(wire(bed.engine.inbound(
                   error_to_external(*out, net::IcmpType::DestUnreachable, 13),
                   handled)),
-              "45 00 00 38 0e 0e 00 00 3f 01 f6 69 0a 00 09 09 64 40 00 05 03 "
-              "0d 74 5a 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 04 84 64 40 "
-              "00 05 0a 00 09 09 9c 40 1b 58 00 08 d0 f7");
-    EXPECT_TRUE(handled);
+              "<dropped>");
+    EXPECT_FALSE(handled);
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 0u);
 }
 
 TEST(CgnGolden, UnknownTransportIsDropped) {

@@ -18,7 +18,6 @@ using namespace gatekit::gateway;
 
 namespace {
 
-const net::Ipv4Addr kLan(192, 168, 1, 1);
 const net::Ipv4Addr kClient(192, 168, 1, 100);
 const net::Ipv4Addr kWan(10, 0, 1, 10);
 const net::Ipv4Addr kServer(10, 0, 1, 1);
@@ -234,7 +233,7 @@ TEST(NatEngine, UdpOutboundTranslatesAndFixesChecksums) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_addresses(kWan);
 
     const auto out = nat.outbound(udp_packet(40000, 7000, {'h', 'i'}));
     ASSERT_TRUE(out.has_value());
@@ -253,7 +252,7 @@ TEST(NatEngine, RoundTripIsInvertible) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_addresses(kWan);
 
     const auto out = nat.outbound(udp_packet(40000, 7000, {'q'}));
     ASSERT_TRUE(out.has_value());
@@ -284,7 +283,7 @@ TEST(NatEngine, InboundWithoutBindingIsNotHandled) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_addresses(kWan);
 
     net::Ipv4Packet stray;
     stray.h.protocol = net::proto::kUdp;
@@ -304,7 +303,7 @@ TEST(NatEngine, TtlExhaustionDrops) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_addresses(kWan);
     auto pkt = udp_packet(40000, 7000);
     pkt.h.ttl = 1;
     EXPECT_FALSE(nat.outbound(pkt).has_value());
@@ -314,7 +313,7 @@ TEST(NatEngine, TcpRstRemovesBindingImmediately) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_addresses(kWan);
 
     net::Ipv4Packet syn;
     syn.h.protocol = net::proto::kTcp;
@@ -340,7 +339,7 @@ TEST(NatEngine, HairpinRequiresKnobAndBinding) {
     auto profile = quick_profile();
     profile.hairpin = true;
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_addresses(kWan);
 
     // No binding yet: nothing to hairpin to.
     net::Ipv4Packet probe;
@@ -386,7 +385,7 @@ struct NatBed {
     NatEngine nat;
     explicit NatBed(DeviceProfile p = quick_profile())
         : profile(std::move(p)), nat(loop, profile) {
-        nat.set_addresses(kLan, 24, kWan);
+        nat.set_addresses(kWan);
     }
 };
 
