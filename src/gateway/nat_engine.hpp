@@ -35,11 +35,11 @@ public:
     /// capacity, unknown protocol policy, TTL exhausted, ...).
     std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
 
-    /// Translate a WAN->LAN datagram addressed to the WAN address (or, for
-    /// untranslated unknown-protocol flows, to a LAN host directly).
-    /// Returns the datagram to emit on the LAN side. `handled` is set when
-    /// the packet belonged to the NAT (even if dropped); when false the
-    /// caller should deliver it to the gateway's own stack.
+    /// Translate a WAN->LAN datagram addressed to the WAN address (the
+    /// untranslated plain-router fallback toward LAN hosts is the
+    /// gateway's). Returns the datagram to emit on the LAN side. `handled`
+    /// is set when the packet belonged to the NAT (even if dropped); when
+    /// false the caller should deliver it to the gateway's own stack.
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
 
