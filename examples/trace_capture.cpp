@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     const int idx = tb.add_device(*profile);
     tb.start_and_wait();
     auto& slot = tb.slot(idx);
-    slot.wan_tap.clear(); // drop the DHCP bring-up chatter
+    // Attached after bring-up, so the DHCP chatter is not in the trace.
+    slot.wan_tap.attach(*slot.wan_link);
 
     // Workload: a ping, a DNS lookup through the proxy, and a short TCP
     // exchange — a miniature of what a home network actually does.

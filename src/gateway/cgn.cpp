@@ -152,10 +152,14 @@ bool CgnEngine::outbound(net::PacketView& v) {
         return true;
     }
     case net::proto::kIcmp: {
-        const bool error = IcmpTranslator::is_error(v);
+        // A fragment's bytes hold no quote to expose; the translator
+        // drops it.
+        const bool error = !v.is_fragment() && IcmpTranslator::is_error(v);
         if (error) expose_quote(v);
         const L4Verdict verdict = icmp_.outbound(v, external_addr_);
-        if (verdict == L4Verdict::kNoCapacity) ++stats_.dropped_policy;
+        if (verdict == L4Verdict::kNoCapacity ||
+            verdict == L4Verdict::kFragment)
+            ++stats_.dropped_policy;
         if (verdict != L4Verdict::kForwarded) return false;
         ++(error ? stats_.icmp_relayed : stats_.translated_out);
         return true;
@@ -247,6 +251,7 @@ bool CgnEngine::inbound(net::PacketView& v, bool& handled) {
             torn_down);
         handled = verdict != L4Verdict::kNotOurs;
         if (verdict == L4Verdict::kErrorDropped) ++stats_.icmp_dropped;
+        if (verdict == L4Verdict::kFragment) ++stats_.dropped_policy;
         if (verdict != L4Verdict::kForwarded) return false;
         ++(error ? stats_.icmp_relayed : stats_.translated_in);
         return true;

@@ -99,9 +99,9 @@ bool EchoTable::add(net::Ipv4Addr internal, std::uint16_t id,
     return true;
 }
 
-std::optional<net::Ipv4Addr> EchoTable::reply(std::uint16_t id,
-                                              net::Ipv4Addr remote,
-                                              sim::TimePoint now) {
+std::optional<net::Ipv4Addr> EchoTable::querier(std::uint16_t id,
+                                                net::Ipv4Addr remote,
+                                                sim::TimePoint now) {
     for (auto it = expires_.begin(); it != expires_.end();) {
         if (now >= it->second) {
             it = expires_.erase(it);
@@ -111,13 +111,6 @@ std::optional<net::Ipv4Addr> EchoTable::reply(std::uint16_t id,
             return it->first.internal;
         ++it;
     }
-    return std::nullopt;
-}
-
-std::optional<net::Ipv4Addr> EchoTable::quoted(std::uint16_t id,
-                                               net::Ipv4Addr remote) const {
-    for (const auto& [key, expires] : expires_)
-        if (key.id == id && key.remote == remote) return key.internal;
     return std::nullopt;
 }
 
@@ -136,6 +129,7 @@ bool IcmpTranslator::is_error(const net::PacketView& v) {
 
 L4Verdict IcmpTranslator::outbound(net::PacketView& v,
                                    net::Ipv4Addr external) {
+    if (v.is_fragment()) return L4Verdict::kFragment;
     const auto icmp = v.payload();
     if (icmp.size() < 8) return L4Verdict::kMalformed;
     if (icmp[0] == static_cast<std::uint8_t>(net::IcmpType::Echo) &&
@@ -159,6 +153,7 @@ bool IcmpTranslator::error_admitted() {
 
 L4Verdict IcmpTranslator::inbound(net::PacketView& v, net::Ipv4Addr external,
                                   const Owner& owner, bool& torn_down) {
+    if (v.is_fragment()) return L4Verdict::kFragment;
     const auto icmp = v.payload();
     if (icmp.size() < 8) return L4Verdict::kNotOurs;
     const auto relay_to = [&](net::Ipv4Addr internal) {
@@ -168,7 +163,8 @@ L4Verdict IcmpTranslator::inbound(net::PacketView& v, net::Ipv4Addr external,
     };
     const auto type = static_cast<net::IcmpType>(icmp[0]);
     if (type == net::IcmpType::EchoReply) {
-        const auto querier = echo_.reply(be16(icmp, 4), v.src(), loop_.now());
+        const auto querier =
+            echo_.querier(be16(icmp, 4), v.src(), loop_.now());
         // No query matches: the gateway's own ping.
         return querier ? relay_to(*querier) : L4Verdict::kNotOurs;
     }
@@ -194,9 +190,10 @@ L4Verdict IcmpTranslator::inbound(net::PacketView& v, net::Ipv4Addr external,
         // Error about an echo query (Table 2 "ICMP: Host Unreach.").
         if (!profile_.icmp_query_errors_translated)
             return L4Verdict::kErrorDropped;
-        const auto querier = q->transport_len() < 8
-                                 ? std::nullopt
-                                 : echo_.quoted(q->echo_id(), q->dst());
+        const auto querier =
+            q->transport_len() < 8
+                ? std::nullopt
+                : echo_.querier(q->echo_id(), q->dst(), loop_.now());
         // It quotes our address, so it is ours to drop when unattributable.
         if (!querier) return L4Verdict::kMalformed;
         q->rewrite(IcmpQuote::Half::kSource, *querier, std::nullopt,

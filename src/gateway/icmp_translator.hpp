@@ -71,10 +71,10 @@ private:
 };
 
 /// ICMP echo bindings. The id crosses unchanged, so a query is known by
-/// (internal host, id, remote) and a reply is matched on (id, remote);
-/// where several queries match, the first in key order wins. An entry
-/// lives 60 s from its last query. A full table prunes expired entries
-/// and refuses a new query while none are.
+/// (internal host, id, remote), and a reply or an error quoting a query
+/// is matched on (id, remote); where several queries match, the first in
+/// key order wins. An entry lives 60 s from its last query. A full table
+/// prunes expired entries and refuses a new query while none are.
 class EchoTable {
 public:
     explicit EchoTable(std::size_t cap) : cap_(cap) {}
@@ -82,12 +82,12 @@ public:
     /// Record or refresh a query; false when the table is full.
     bool add(net::Ipv4Addr internal, std::uint16_t id, net::Ipv4Addr remote,
              sim::TimePoint now);
-    /// The querier of a reply; expired entries met on the way go.
-    std::optional<net::Ipv4Addr> reply(std::uint16_t id, net::Ipv4Addr remote,
-                                       sim::TimePoint now);
-    /// The querier an error quoting a query to `remote` belongs to.
-    std::optional<net::Ipv4Addr> quoted(std::uint16_t id,
-                                        net::Ipv4Addr remote) const;
+    /// The live querier of query `id` to `remote`, which a reply from
+    /// `remote` or an error quoting the query belongs to; expired
+    /// entries met on the way go.
+    std::optional<net::Ipv4Addr> querier(std::uint16_t id,
+                                         net::Ipv4Addr remote,
+                                         sim::TimePoint now);
     std::size_t size() const { return expires_.size(); }
     void clear() { expires_.clear(); }
 
@@ -114,7 +114,9 @@ public:
 
     /// LAN->WAN: an echo request records its query (kNoCapacity when the
     /// table is full), then the source becomes `external` and the hop's
-    /// IP steps run; the message crosses untouched.
+    /// IP steps run; the message crosses untouched. In both directions an
+    /// IP fragment is kFragment: past the first, its bytes are not an
+    /// ICMP header and must not steer translation state.
     L4Verdict outbound(net::PacketView& v, net::Ipv4Addr external);
     /// WAN->LAN: an echo reply goes to its querier; an error quoting a
     /// datagram from `external` is relayed to the host that sent it

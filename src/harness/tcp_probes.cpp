@@ -195,8 +195,10 @@ private:
 
 // --- TCP-2 / TCP-3 -----------------------------------------------------------
 
-constexpr std::size_t kBlock = 2048; ///< timestamp spacing (paper: 2 KB)
-constexpr std::uint64_t kStampMagic = 0x474b54535354414dULL; // "GKTSSTAM"
+using detail::kStampBlock;
+using detail::kStampHeader;
+using detail::kStampMagic;
+using detail::MeteredReceiver;
 
 /// Application-paced bulk sender: keeps the socket's unsent backlog
 /// shallow so the timestamp written at the head of each 2 KB block
@@ -223,9 +225,9 @@ private:
         constexpr std::size_t kPendingLimit = 8 * 1024;
         while (written_ < total_ &&
                conn_.bytes_pending_send() < kPendingLimit) {
-            const std::size_t n = std::min(kBlock, total_ - written_);
+            const std::size_t n = std::min(kStampBlock, total_ - written_);
             net::Bytes block(n, 0x5a);
-            if (n >= 16) {
+            if (n >= kStampHeader) {
                 const auto now = static_cast<std::uint64_t>(
                     loop_.now().count());
                 for (int i = 0; i < 8; ++i)
@@ -245,68 +247,6 @@ private:
     stack::TcpSocket& conn_;
     std::size_t total_;
     std::size_t written_ = 0;
-};
-
-/// Receiver side: tracks goodput and extracts the embedded timestamps.
-class MeteredReceiver {
-public:
-    explicit MeteredReceiver(sim::EventLoop& loop) : loop_(loop) {}
-
-    void on_bytes(std::span<const std::uint8_t> d) {
-        if (received_ == 0) first_byte_ = loop_.now();
-        last_byte_ = loop_.now();
-        for (std::uint8_t b : d) {
-            const std::size_t in_block = received_ % kBlock;
-            if (in_block < 16) {
-                header_[in_block] = b;
-                if (in_block == 15) consume_header();
-            }
-            ++received_;
-        }
-    }
-
-    TransferResult result(std::size_t expected) const {
-        TransferResult r;
-        r.bytes = received_;
-        r.completed = received_ >= expected;
-        r.duration_sec = sim::to_sec(last_byte_ - first_byte_);
-        if (r.duration_sec > 0)
-            r.mbps = static_cast<double>(received_) * 8.0 /
-                     (r.duration_sec * 1e6);
-        if (!delays_ms_.empty()) {
-            // Paper method: normalize so the minimum is zero, report the
-            // median of the normalized deltas.
-            const double floor =
-                *std::min_element(delays_ms_.begin(), delays_ms_.end());
-            std::vector<double> normalized;
-            normalized.reserve(delays_ms_.size());
-            for (double v : delays_ms_) normalized.push_back(v - floor);
-            r.delay_ms = stats::median(normalized);
-        }
-        return r;
-    }
-
-private:
-    void consume_header() {
-        std::uint64_t magic = 0, stamp = 0;
-        for (int i = 0; i < 8; ++i)
-            magic = (magic << 8) | header_[static_cast<std::size_t>(i)];
-        for (int i = 0; i < 8; ++i)
-            stamp = (stamp << 8) | header_[static_cast<std::size_t>(8 + i)];
-        if (magic != kStampMagic) return;
-        const double delta_ms =
-            static_cast<double>(loop_.now().count() -
-                                static_cast<std::int64_t>(stamp)) /
-            1e6;
-        delays_ms_.push_back(delta_ms);
-    }
-
-    sim::EventLoop& loop_;
-    std::uint64_t received_ = 0;
-    std::array<std::uint8_t, 16> header_{};
-    sim::TimePoint first_byte_{};
-    sim::TimePoint last_byte_{};
-    std::vector<double> delays_ms_;
 };
 
 class ThroughputMeasurement
@@ -514,6 +454,63 @@ private:
 };
 
 } // namespace
+
+namespace detail {
+
+void MeteredReceiver::on_bytes(std::span<const std::uint8_t> d) {
+    if (received_ == 0) first_byte_ = loop_.now();
+    last_byte_ = loop_.now();
+    // Whole runs at a time: the header bytes of the current block (they
+    // may arrive split across calls), then straight on to the next block
+    // boundary.
+    while (!d.empty()) {
+        const std::size_t in_block = received_ % kStampBlock;
+        const bool in_header = in_block < kStampHeader;
+        const std::size_t n = std::min(
+            d.size(), (in_header ? kStampHeader : kStampBlock) - in_block);
+        if (in_header) std::copy_n(d.begin(), n, header_.begin() + in_block);
+        d = d.subspan(n);
+        received_ += n;
+        if (in_block + n == kStampHeader) consume_header();
+    }
+}
+
+TransferResult MeteredReceiver::result(std::size_t expected) const {
+    TransferResult r;
+    r.bytes = received_;
+    r.completed = received_ >= expected;
+    r.duration_sec = sim::to_sec(last_byte_ - first_byte_);
+    if (r.duration_sec > 0)
+        r.mbps = static_cast<double>(received_) * 8.0 /
+                 (r.duration_sec * 1e6);
+    if (!delays_ms_.empty()) {
+        // Paper method: normalize so the minimum is zero, report the
+        // median of the normalized deltas.
+        const double floor =
+            *std::min_element(delays_ms_.begin(), delays_ms_.end());
+        std::vector<double> normalized;
+        normalized.reserve(delays_ms_.size());
+        for (double v : delays_ms_) normalized.push_back(v - floor);
+        r.delay_ms = stats::median(normalized);
+    }
+    return r;
+}
+
+void MeteredReceiver::consume_header() {
+    std::uint64_t magic = 0, stamp = 0;
+    for (int i = 0; i < 8; ++i)
+        magic = (magic << 8) | header_[static_cast<std::size_t>(i)];
+    for (int i = 0; i < 8; ++i)
+        stamp = (stamp << 8) | header_[static_cast<std::size_t>(8 + i)];
+    if (magic != kStampMagic) return;
+    const double delta_ms =
+        static_cast<double>(loop_.now().count() -
+                            static_cast<std::int64_t>(stamp)) /
+        1e6;
+    delays_ms_.push_back(delta_ms);
+}
+
+} // namespace detail
 
 void measure_tcp_timeout(Testbed& tb, int slot,
                          const TcpTimeoutConfig& config,

@@ -4,7 +4,10 @@
 // payload, and TCP-4 maximum concurrent bindings to one server port.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "harness/binding_search.hpp"
@@ -76,6 +79,44 @@ struct ThroughputResult {
 
 void measure_throughput(Testbed& tb, int slot, const ThroughputConfig& config,
                         std::function<void(ThroughputResult)> done);
+
+namespace detail {
+
+/// TCP-3 stream framing: every kStampBlock bytes of a TCP-2 payload
+/// start with a kStampHeader-byte header, kStampMagic then the send time
+/// (sim ns), both big-endian. A final block shorter than the header
+/// carries no stamp.
+inline constexpr std::size_t kStampBlock = 2048; ///< paper: 2 KB
+inline constexpr std::size_t kStampHeader = 16;
+inline constexpr std::uint64_t kStampMagic = 0x474b54535354414dULL; // "GKTSSTAM"
+
+/// Receiving end of one TCP-2 transfer leg: counts goodput and turns
+/// each block's header into a queuing-delay sample at the instant its
+/// last header byte arrives.
+class MeteredReceiver {
+public:
+    explicit MeteredReceiver(sim::EventLoop& loop) : loop_(loop) {}
+
+    /// Bytes as the socket delivers them, split anywhere.
+    void on_bytes(std::span<const std::uint8_t> d);
+
+    std::uint64_t bytes() const { return received_; }
+    /// One-way delays (ms) of the stamped blocks, in arrival order.
+    const std::vector<double>& delays_ms() const { return delays_ms_; }
+    TransferResult result(std::size_t expected) const;
+
+private:
+    void consume_header();
+
+    sim::EventLoop& loop_;
+    std::uint64_t received_ = 0;
+    std::array<std::uint8_t, kStampHeader> header_{};
+    sim::TimePoint first_byte_{};
+    sim::TimePoint last_byte_{};
+    std::vector<double> delays_ms_;
+};
+
+} // namespace detail
 
 // --- TCP-4 ----------------------------------------------------------------
 

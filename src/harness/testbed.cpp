@@ -91,7 +91,6 @@ Testbed::make_slot(gateway::DeviceProfile profile, int number) {
     // WAN link (the caller wires its far end to a switch port).
     slot->wan_link = std::make_unique<sim::Link>(loop_, kLinkRate, kLinkProp);
     slot->gw->connect_wan(*slot->wan_link, sim::Link::Side::A);
-    slot->wan_tap.attach(*slot->wan_link);
     return slot;
 }
 
@@ -228,10 +227,12 @@ void Testbed::attach_observability(obs::Observability* obs) {
 void Testbed::bind_slot_observability(DeviceSlot& slot) {
     const std::string device = device_label(slot);
     slot.gw->bind_observability(&obs_->metrics(), &obs_->tracer(), device);
-    // The WAN link's trace events cross-reference the slot's capture: the
-    // tap records at wire time before any impairment draw, so at the
-    // moment an impairment event fires, the affected frame is the last
-    // record. The tap outlives the link (both live in the slot).
+    // The WAN link's trace events cross-reference the slot's capture
+    // while one is attached: the tap records at wire time before any
+    // impairment draw, so at the moment an impairment event fires, the
+    // affected frame is the last record. With no capture attached the
+    // record list is empty and events carry -1. The tap outlives the link
+    // (both live in the slot).
     const pcap::CaptureTap* tap = &slot.wan_tap;
     slot.wan_link->bind_observability(
         &obs_->metrics(), &obs_->tracer(), device + ".wan", [tap] {

@@ -36,7 +36,11 @@ public:
         net::Ipv4Addr server_addr; ///< 10.0.n.1
         net::Ipv4Addr client_addr; ///< leased from the gateway
         net::Ipv4Addr gw_wan_addr; ///< leased from the test server
-        pcap::CaptureTap wan_tap;  ///< capture on the gateway's WAN link
+        /// Capture of the gateway's WAN link. Not attached by the
+        /// testbed: a reader attaches it (`wan_tap.attach(*wan_link)`)
+        /// for the window it inspects, then detaches and clears it, so
+        /// bulk traffic is never copied into a capture nobody reads.
+        pcap::CaptureTap wan_tap;
         /// CGN group (0-based) this gateway's WAN sits behind, or -1 for
         /// a direct (single-NAT) uplink to the test server.
         int cgn_group = -1;
@@ -122,8 +126,9 @@ public:
 
     /// Attach an observability session (owned by the caller, must outlive
     /// the testbed): binds every device slot created so far and any added
-    /// later — gateways, test hosts, and the per-slot links, whose trace
-    /// events cross-reference the slot's WAN capture frame indices.
+    /// later — gateways, test hosts, and the per-slot links. WAN-link
+    /// trace events cross-reference the slot's WAN capture frame index
+    /// while the capture is attached, and carry -1 otherwise.
     void attach_observability(obs::Observability* obs);
     obs::Observability* observability() { return obs_; }
 

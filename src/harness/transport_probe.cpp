@@ -22,15 +22,14 @@ const char* to_string(NatAction a) {
 
 namespace {
 
-/// Classify the NAT's handling from the WAN-link capture: find the last
-/// gateway->server frame of the given protocol and inspect its source.
-NatAction classify(const Testbed::DeviceSlot& slot, std::uint8_t proto,
-                   std::size_t from_record) {
+/// Classify the NAT's handling from the WAN-link capture of one probe
+/// window: find the last gateway->server frame of the given protocol and
+/// inspect its source.
+NatAction classify(const Testbed::DeviceSlot& slot, std::uint8_t proto) {
     NatAction action = NatAction::Dropped;
-    const auto& records = slot.wan_tap.records();
-    for (std::size_t i = from_record; i < records.size(); ++i) {
+    for (const auto& rec : slot.wan_tap.records()) {
         try {
-            const auto frame = net::EthernetFrame::parse(records[i].frame);
+            const auto frame = net::EthernetFrame::parse(rec.frame);
             if (frame.ethertype != net::kEtherTypeIpv4) continue;
             const auto pkt = net::Ipv4Packet::parse(frame.payload);
             if (pkt.h.protocol != proto) continue;
@@ -60,9 +59,18 @@ private:
     static constexpr std::uint16_t kPort = 38000;
     static constexpr sim::Duration kWait = std::chrono::seconds(10);
 
+    /// The WAN capture is attached only for a probe window.
+    void open_capture() { slot_.wan_tap.attach(*slot_.wan_link); }
+    NatAction close_capture(std::uint8_t proto) {
+        const NatAction action = classify(slot_, proto);
+        slot_.wan_link->set_tap({});
+        slot_.wan_tap.clear();
+        return action;
+    }
+
     void run_sctp() {
         auto self = shared_from_this();
-        const auto tap_mark = slot_.wan_tap.records().size();
+        open_capture();
         auto& server = tb_.server().sctp_open(slot_.server_addr, kPort);
         server.listen();
         server.on_data = [self](std::span<const std::uint8_t>) {
@@ -76,9 +84,9 @@ private:
         client.on_error = [](const std::string&) {};
         client.connect({slot_.server_addr, kPort});
 
-        loop_.after(kWait, [self, tap_mark, &server, &client] {
+        loop_.after(kWait, [self, &server, &client] {
             self->result_.sctp_action =
-                classify(self->slot_, net::proto::kSctp, tap_mark);
+                self->close_capture(net::proto::kSctp);
             self->tb_.server().sctp_close(server);
             self->tb_.client().sctp_close(client);
             self->run_dccp();
@@ -87,7 +95,7 @@ private:
 
     void run_dccp() {
         auto self = shared_from_this();
-        const auto tap_mark = slot_.wan_tap.records().size();
+        open_capture();
         auto& server = tb_.server().dccp_open(slot_.server_addr, kPort);
         server.listen();
         auto& client = tb_.client().dccp_open(slot_.client_addr, kPort);
@@ -97,9 +105,9 @@ private:
         client.on_error = [](const std::string&) {};
         client.connect({slot_.server_addr, kPort});
 
-        loop_.after(kWait, [self, tap_mark, &server, &client] {
+        loop_.after(kWait, [self, &server, &client] {
             self->result_.dccp_action =
-                classify(self->slot_, net::proto::kDccp, tap_mark);
+                self->close_capture(net::proto::kDccp);
             self->tb_.server().dccp_close(server);
             self->tb_.client().dccp_close(client);
             self->done_(self->result_);

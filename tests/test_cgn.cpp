@@ -802,6 +802,46 @@ TEST(CgnGolden, UnclassifiedErrorCode) {
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 0u);
 }
 
+// Regression: ICMP fragments reached the CGN's ICMP translator, so a
+// subscriber's mid-stream fragment whose data read like an echo request
+// created echo state that a remote's reply then rode into the access
+// network. ICMP fragments are now dropped by policy in both directions.
+TEST(CgnEngine, IcmpFragmentsAreDroppedNotTranslated) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    net::Ipv4Packet frag;
+    frag.h.protocol = net::proto::kIcmp;
+    frag.h.src = sub;
+    frag.h.dst = kRemote;
+    frag.h.frag_offset = 100; // mid-stream: the "header" is data
+    frag.payload = {0x08, 0x00, 0x00, 0x00, 0x12, 0x34, 0x00, 0x01};
+    EXPECT_FALSE(bed.engine.outbound(frag).has_value());
+    bool handled = true;
+    EXPECT_FALSE(bed.engine
+                     .inbound(icmp_pkt(kRemote, kExternal,
+                                       net::IcmpMessage::make_echo(
+                                           true, 0x1234, 1)),
+                              handled)
+                     .has_value());
+    EXPECT_FALSE(handled); // no query was recorded
+
+    // Inbound, a first fragment of a reply to a live query is dropped.
+    ASSERT_TRUE(bed.engine
+                    .outbound(icmp_pkt(sub, kRemote,
+                                       net::IcmpMessage::make_echo(
+                                           false, 0x0077, 1)))
+                    .has_value());
+    auto reply = icmp_pkt(kRemote, kExternal,
+                          net::IcmpMessage::make_echo(true, 0x0077, 1,
+                                                      {'p', 'g'}));
+    reply.h.more_fragments = true;
+    EXPECT_FALSE(bed.engine.inbound(reply, handled).has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.engine.stats().translated_out, 1u);
+    EXPECT_EQ(bed.engine.stats().translated_in, 0u);
+    EXPECT_EQ(bed.engine.stats().dropped_policy, 2u);
+}
+
 TEST(CgnGolden, UnknownTransportIsDropped) {
     EngineBed bed;
     net::Ipv4Packet dccp;

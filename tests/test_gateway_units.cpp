@@ -857,6 +857,71 @@ TEST(NatGolden, ErrorAboutIcmpQuery) {
     EXPECT_EQ(bed.nat.stats().icmp_dropped, 1u);
 }
 
+// Regression: the echo table's lookup for an error quoting a query
+// ignored expiry, so an error about a query dead for minutes was still
+// relayed to its former querier while a reply with the same id was
+// refused. Both now go by the same 60 s lifetime.
+TEST(NatGolden, ErrorAboutExpiredIcmpQueryIsNotRelayed) {
+    NatBed bed(icmp_profile());
+    const auto echo_out = bed.nat.outbound(icmp_packet(
+        kClient, kServer, net::IcmpMessage::make_echo(false, 0x0777, 3)));
+    ASSERT_TRUE(echo_out.has_value());
+    bed.loop.run_until(bed.loop.now() + std::chrono::seconds(600));
+
+    bool handled = false;
+    EXPECT_EQ(wire(bed.nat.inbound(
+                  error_to_wan(*echo_out, net::IcmpType::DestUnreachable,
+                               net::icmp_code::kHostUnreachable),
+                  handled)),
+              "<dropped>");
+    EXPECT_TRUE(handled); // it quotes our address: ours to drop
+    EXPECT_EQ(bed.nat.stats().icmp_translated, 0u);
+    EXPECT_EQ(bed.nat.icmp_query_count(), 0u);
+
+    handled = true;
+    EXPECT_FALSE(bed.nat
+                     .inbound(icmp_packet(kServer, kWan,
+                                          net::IcmpMessage::make_echo(
+                                              true, 0x0777, 3)),
+                              handled)
+                     .has_value());
+    EXPECT_FALSE(handled);
+}
+
+// Regression: ICMP fragments reached the ICMP translator, which read a
+// non-first fragment's data as an ICMP header: bytes that looked like an
+// echo request created echo-table state, and an inbound fragment that
+// looked like a reply was relayed. ICMP fragments are now dropped by
+// policy in both directions, like UDP/TCP ones.
+TEST(NatEngine, IcmpFragmentsAreDroppedNotTranslated) {
+    NatBed bed(icmp_profile());
+    net::Ipv4Packet frag;
+    frag.h.protocol = net::proto::kIcmp;
+    frag.h.src = kClient;
+    frag.h.dst = kServer;
+    frag.h.frag_offset = 100; // mid-stream: the "header" is data
+    frag.payload = {0x08, 0x00, 0x00, 0x00, 0x12, 0x34, 0x00, 0x01,
+                    'd',  'a',  't',  'a'};
+    EXPECT_FALSE(bed.nat.outbound(frag).has_value());
+    EXPECT_EQ(bed.nat.icmp_query_count(), 0u);
+
+    // Inbound, a first fragment of a reply to a live query is the NAT's
+    // to drop, not to relay.
+    ASSERT_TRUE(bed.nat
+                    .outbound(icmp_packet(kClient, kServer,
+                                          net::IcmpMessage::make_echo(
+                                              false, 0x1234, 1)))
+                    .has_value());
+    auto reply = icmp_packet(kServer, kWan,
+                             net::IcmpMessage::make_echo(true, 0x1234, 1,
+                                                         {'p', 'i', 'n', 'g'}));
+    reply.h.more_fragments = true;
+    bool handled = false;
+    EXPECT_FALSE(bed.nat.inbound(reply, handled).has_value());
+    EXPECT_TRUE(handled);
+    EXPECT_EQ(bed.nat.stats().dropped_policy, 2u);
+}
+
 TEST(NatGolden, OutboundErrorCrossesWithOuterRewriteOnly) {
     NatBed bed(icmp_profile());
     // A LAN host's port unreachable about a datagram from the server.
