@@ -651,6 +651,134 @@ TEST(Nat444, HolePunchSameCgnRidesHairpin) {
     EXPECT_FALSE(r2.success);
 }
 
+// --- CGN TTL expiry: the Time Exceeded quotes the packet as received ---
+
+namespace {
+
+/// One member gateway behind one CGN. Test traffic is sourced from the
+/// member gateway's own host, so it reaches the CGN exactly as built
+/// here, and an ICMP error about it lands in that host's stack.
+struct CgnTtlBed {
+    sim::EventLoop loop;
+    Testbed tb{loop};
+    int g = tb.add_cgn_group();
+    int i = tb.add_device_behind_cgn(member_profile("m1"), g);
+
+    CgnTtlBed() { tb.start_and_wait(); }
+    HomeGateway& gw() { return *tb.slot(i).gw; }
+    CgnGateway& cgn() { return *tb.cgn_group(g).cgn; }
+    net::Ipv4Addr member() { return tb.slot(i).gw_wan_addr; }
+    net::Ipv4Addr server() { return tb.slot(i).server_addr; }
+    void send_up(const net::Bytes& datagram) {
+        gw().host().send_raw(gw().wan_if(), datagram, cgn().access_addr());
+    }
+};
+
+/// What an RFC 792 error quotes of a datagram without IP options: the
+/// 20-byte header and the first 8 payload bytes.
+net::Bytes quote_of(const net::Bytes& datagram) {
+    return net::Bytes(datagram.begin(), datagram.begin() + 28);
+}
+
+} // namespace
+
+TEST(Nat444, CgnOutboundTtlOneDrawsTimeExceeded) {
+    CgnTtlBed bed;
+    std::optional<net::IcmpMessage> err;
+    net::Ipv4Addr err_src;
+    bed.gw().host().set_icmp_observer(
+        [&](const net::Ipv4Packet& outer, const net::IcmpMessage& m) {
+            err = m;
+            err_src = outer.h.src;
+        });
+    const auto before = bed.cgn().engine().stats();
+    auto pkt = udp_pkt(bed.member(), 50000, bed.server(), 33434);
+    pkt.h.ttl = 1;
+    const net::Bytes sent = pkt.serialize();
+    bed.send_up(sent);
+    bed.loop.run_for(std::chrono::milliseconds(50));
+
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, net::IcmpType::TimeExceeded);
+    EXPECT_EQ(err_src, bed.cgn().access_addr());
+    EXPECT_EQ(err->payload, quote_of(sent));
+    EXPECT_EQ(bed.cgn().engine().stats().translated_out, before.translated_out);
+    EXPECT_EQ(bed.cgn().engine().live_bindings(bed.member()), 0u);
+}
+
+TEST(Nat444, CgnHairpinTtlOneDrawsTimeExceeded) {
+    CgnTtlBed bed;
+    std::optional<net::IcmpMessage> err;
+    net::Ipv4Addr err_src;
+    bed.gw().host().set_icmp_observer(
+        [&](const net::Ipv4Packet& outer, const net::IcmpMessage& m) {
+            err = m;
+            err_src = outer.h.src;
+        });
+    const auto before = bed.cgn().engine().stats();
+    auto pkt = udp_pkt(bed.member(), 50000, bed.cgn().external_addr(), 40000);
+    pkt.h.ttl = 1;
+    const net::Bytes sent = pkt.serialize();
+    bed.send_up(sent);
+    bed.loop.run_for(std::chrono::milliseconds(50));
+
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, net::IcmpType::TimeExceeded);
+    EXPECT_EQ(err_src, bed.cgn().access_addr());
+    EXPECT_EQ(err->payload, quote_of(sent));
+    EXPECT_EQ(bed.cgn().engine().stats().hairpinned, before.hairpinned);
+}
+
+// An inbound packet on a live binding whose TTL expires at the CGN is
+// still the binding's traffic: the sender gets a Time Exceeded quoting
+// it untranslated, and the binding is refreshed as for any inbound
+// packet, so it outlives its initial lifetime.
+TEST(Nat444, CgnInboundTtlOneDrawsTimeExceededAndRefreshes) {
+    CgnTtlBed bed;
+    auto& server = bed.tb.server();
+    net::Endpoint ext; // the member's flow as the server sees it
+    auto& server_sock = server.udp_open(net::Ipv4Addr::any(), 7000);
+    server_sock.set_receive_handler(
+        [&](net::Endpoint src, std::span<const std::uint8_t>,
+            const net::Ipv4Packet&) { ext = src; });
+    std::optional<net::IcmpMessage> err;
+    net::Ipv4Addr err_src;
+    server.set_icmp_observer(
+        [&](const net::Ipv4Packet& outer, const net::IcmpMessage& m) {
+            err = m;
+            err_src = outer.h.src;
+        });
+    int member_got = 0;
+    auto& member_sock = bed.gw().host().udp_open(bed.member(), 50000);
+    member_sock.set_receive_handler(
+        [&](net::Endpoint, std::span<const std::uint8_t>,
+            const net::Ipv4Packet&) { ++member_got; });
+    member_sock.send_to({bed.server(), 7000}, {1});
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(ext.addr, bed.cgn().external_addr());
+
+    // 100 s into the binding's 120 s initial lifetime.
+    bed.loop.run_for(std::chrono::seconds(100));
+    auto in = udp_pkt(bed.server(), 7000, ext.addr, ext.port);
+    in.h.ttl = 1;
+    const net::Bytes sent = in.serialize();
+    auto& server_if = *bed.tb.cgn_group(bed.g).server_if;
+    server.send_raw(server_if, sent, ext.addr);
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(member_got, 0);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, net::IcmpType::TimeExceeded);
+    EXPECT_EQ(err_src, ext.addr);
+    EXPECT_EQ(err->payload, quote_of(sent));
+
+    // 150 s in: past the initial lifetime, inside the refreshed one.
+    bed.loop.run_for(std::chrono::seconds(50));
+    in.h.ttl = 64;
+    server.send_raw(server_if, in.serialize(), ext.addr);
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(member_got, 1);
+}
+
 // --- Golden corpus: exact bytes out of the CGN's ICMP and IP-only paths ---
 
 namespace {

@@ -9,6 +9,8 @@
 #include "gateway/nat_engine.hpp"
 #include "harness/testbed.hpp"
 #include "harness/udp_probes.hpp"
+#include "net/dhcp.hpp"
+#include "net/icmp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "obs/obs.hpp"
@@ -357,6 +359,75 @@ TEST(GatewayFaults, StallDropsTrafficThenRecovers) {
     client_sock.send_to({slot.server_addr, 7000}, {3});
     bed.loop.run();
     EXPECT_EQ(server_got, 2);
+}
+
+// A stalled device is dead to the wire for every protocol, not only
+// NAT'd UDP: a LAN DHCP broadcast never reaches the gateway's own stack,
+// a ping to its LAN address goes unanswered, and an ICMP echo bound for
+// the WAN neither leaves nor opens a query id.
+TEST(GatewayFaults, StallSwallowsBroadcastLocalAndIcmpTraffic) {
+    FaultBed bed;
+    auto& slot = bed.slot();
+    auto& gw = *slot.gw;
+
+    int lan_broadcasts = 0; // DHCP broadcasts the gateway's stack saw
+    gw.host().set_ip_observer([&](stack::Iface& in, const net::Ipv4Packet& p,
+                                  std::span<const std::uint8_t>) {
+        if (&in == &gw.lan_if() && p.h.dst.is_broadcast()) ++lan_broadcasts;
+    });
+    int lan_replies = 0; // echo replies from the gateway's LAN address
+    bed.tb.client().set_icmp_observer(
+        [&](const net::Ipv4Packet& p, const net::IcmpMessage& m) {
+            if (m.type == net::IcmpType::EchoReply && p.h.src == gw.lan_addr())
+                ++lan_replies;
+        });
+    int server_echoes = 0; // echo requests that crossed the gateway
+    bed.tb.server().set_icmp_observer(
+        [&](const net::Ipv4Packet&, const net::IcmpMessage& m) {
+            if (m.type == net::IcmpType::Echo) ++server_echoes;
+        });
+    auto& dhcp_sock =
+        bed.tb.client().udp_open(net::Ipv4Addr::any(), 0, slot.client_if);
+    const auto send_all = [&](std::uint16_t echo_id) {
+        net::DhcpMessage discover;
+        discover.xid = 0x5eed0000u + echo_id;
+        discover.chaddr = net::MacAddr::from_index(77);
+        discover.set_type(net::DhcpMessageType::Discover);
+        dhcp_sock.send_to({net::Ipv4Addr::broadcast(), net::kDhcpServerPort},
+                          discover.serialize());
+        bed.tb.client().send_icmp(slot.client_addr, gw.lan_addr(),
+                                  net::IcmpMessage::make_echo(false, 7, 1));
+        bed.tb.client().send_icmp(
+            slot.client_addr, slot.server_addr,
+            net::IcmpMessage::make_echo(false, echo_id, 1));
+    };
+
+    send_all(100);
+    bed.loop.run_for(std::chrono::seconds(1));
+    ASSERT_EQ(lan_broadcasts, 1);
+    ASSERT_EQ(lan_replies, 1);
+    ASSERT_EQ(server_echoes, 1);
+    ASSERT_EQ(gw.nat().icmp_query_count(), 1u);
+
+    gateway::GatewayFault fault;
+    fault.flush_nat = false;
+    fault.stall = std::chrono::seconds(2);
+    gw.inject_fault(fault);
+    send_all(101);
+    bed.loop.run_for(std::chrono::seconds(1));
+    EXPECT_EQ(lan_broadcasts, 1);
+    EXPECT_EQ(lan_replies, 1);
+    EXPECT_EQ(server_echoes, 1);
+    EXPECT_EQ(gw.nat().icmp_query_count(), 1u);
+
+    bed.loop.run_for(std::chrono::seconds(2));
+    ASSERT_FALSE(gw.stalled());
+    send_all(102);
+    bed.loop.run_for(std::chrono::seconds(1));
+    EXPECT_EQ(lan_broadcasts, 2);
+    EXPECT_EQ(lan_replies, 2);
+    EXPECT_EQ(server_echoes, 2);
+    EXPECT_EQ(gw.nat().icmp_query_count(), 2u);
 }
 
 // --- end-to-end: UDP-1 measurement across an impaired WAN -------------------

@@ -253,6 +253,39 @@ TEST(GatewayNat, PingThroughNat) {
     EXPECT_TRUE(got_reply);
 }
 
+// The FORWARD chain applies to ICMP as to UDP/TCP: a DROP rule for ICMP
+// refuses an echo before the NAT opens a query id, and leaves UDP on the
+// same chain untouched.
+TEST(GatewayNat, ForwardChainDropRefusesIcmpEcho) {
+    Bed bed;
+    auto& slot = bed.slot();
+    gateway::Rule drop_icmp;
+    drop_icmp.proto = net::proto::kIcmp;
+    drop_icmp.verdict = gateway::RuleVerdict::kDrop;
+    slot.gw->filter().add_rule(drop_icmp);
+
+    int server_echoes = 0;
+    bed.tb.server().set_icmp_observer(
+        [&](const net::Ipv4Packet&, const net::IcmpMessage& m) {
+            if (m.type == net::IcmpType::Echo) ++server_echoes;
+        });
+    int server_udp = 0;
+    auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    server_sock.set_receive_handler(
+        [&](net::Endpoint, std::span<const std::uint8_t>,
+            const net::Ipv4Packet&) { ++server_udp; });
+
+    bed.tb.client().send_icmp(slot.client_addr, slot.server_addr,
+                              net::IcmpMessage::make_echo(false, 42, 1));
+    auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
+    sock.send_to({slot.server_addr, 7000}, {1});
+    bed.loop.run();
+    EXPECT_EQ(server_echoes, 0);
+    EXPECT_EQ(slot.gw->filter().hits(0), 1u);
+    EXPECT_EQ(slot.gw->nat().icmp_query_count(), 0u);
+    EXPECT_EQ(server_udp, 1);
+}
+
 TEST(GatewayNat, TtlDecrementedWhenEnabled) {
     Bed bed;
     auto& slot = bed.slot();

@@ -1101,3 +1101,38 @@ TEST(NatGolden, UntranslatedWanToLanFallback) {
     EXPECT_EQ(wire(seen), "45 00 00 1c 33 33 00 00 3f 21 7b 81 0a 00 01 01 c0 "
                           "a8 01 64 9c 40 1b 58 05 00 ab cd");
 }
+
+// The same fallback with a TTL that expires at the gateway: nothing
+// reaches the LAN, and the sender gets a Time Exceeded from the WAN
+// address quoting the packet exactly as it arrived.
+TEST(NatGolden, UntranslatedWanToLanTtlOneDrawsTimeExceeded) {
+    sim::EventLoop loop;
+    harness::Testbed tb(loop);
+    auto profile = icmp_profile();
+    profile.unknown_proto = UnknownProtocolPolicy::Untranslated;
+    const int i = tb.add_device(profile);
+    tb.start_and_wait();
+    auto& slot = tb.slot(i);
+    int lan_seen = 0;
+    tb.client().set_ip_observer([&](stack::Iface&, const net::Ipv4Packet& p,
+                                    std::span<const std::uint8_t>) {
+        if (p.h.protocol == net::proto::kDccp) ++lan_seen;
+    });
+    std::optional<net::IcmpMessage> err;
+    net::Ipv4Addr err_src;
+    tb.server().set_icmp_observer(
+        [&](const net::Ipv4Packet& outer, const net::IcmpMessage& m) {
+            err = m;
+            err_src = outer.h.src;
+        });
+    auto pkt = unknown_proto_packet(slot.server_addr, slot.client_addr);
+    pkt.h.ttl = 1;
+    const net::Bytes sent = pkt.serialize();
+    tb.server().send_raw(*slot.server_if, sent, slot.gw_wan_addr);
+    loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(lan_seen, 0);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, net::IcmpType::TimeExceeded);
+    EXPECT_EQ(err_src, slot.gw_wan_addr);
+    EXPECT_EQ(err->payload, sent); // 20-byte header + all 8 payload bytes
+}
