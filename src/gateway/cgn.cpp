@@ -1,5 +1,7 @@
 #include "gateway/cgn.hpp"
 
+#include <optional>
+
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
@@ -262,25 +264,28 @@ bool CgnEngine::inbound(net::PacketView& v, bool& handled) {
 }
 
 std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
+    return translate_serialized(
+        pkt, [this](net::PacketView& v) { return hairpin(v); });
+}
+
+bool CgnEngine::hairpin(net::PacketView& v) {
     GK_EXPECTS(configured());
-    if (!cfg_.hairpin || pkt.h.protocol != net::proto::kUdp)
-        return std::nullopt;
-    return translate_serialized(pkt, [this](net::PacketView& v) {
-        if (L4Translator::screen(v)) return false;
-        Slice* ts = slice_for_port(v.dst_port());
-        const Binding* target =
-            ts != nullptr ? ts->udp.find_by_external(v.dst_port()) : nullptr;
-        if (target == nullptr) return false;
-        Slice* ss = slice_for_subscriber(v.src());
-        if (ss == nullptr) return false;
-        if (ss->l4.hairpin(v, external_addr_, target->key.internal) !=
-            L4Verdict::kForwarded) {
-            ++stats_.pool_exhausted;
-            return false;
-        }
-        ++stats_.hairpinned;
-        return true;
-    });
+    if (!cfg_.hairpin || v.protocol() != net::proto::kUdp ||
+        L4Translator::screen(v))
+        return false;
+    Slice* ts = slice_for_port(v.dst_port());
+    const Binding* target =
+        ts != nullptr ? ts->udp.find_by_external(v.dst_port()) : nullptr;
+    if (target == nullptr) return false;
+    Slice* ss = slice_for_subscriber(v.src());
+    if (ss == nullptr) return false;
+    if (ss->l4.hairpin(v, external_addr_, target->key.internal) !=
+        L4Verdict::kForwarded) {
+        ++stats_.pool_exhausted;
+        return false;
+    }
+    ++stats_.hairpinned;
+    return true;
 }
 
 std::size_t CgnEngine::live_bindings(net::Ipv4Addr subscriber) {
@@ -311,34 +316,11 @@ CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)
     host_.add_route(config_.access_addr, config_.access_prefix_len,
                     access_if_);
 
-    host_.set_forward_hook([this](stack::Iface& in,
-                                  const net::Ipv4Packet& pkt,
-                                  std::span<const std::uint8_t>) {
-        // WAN-side packets for non-local destinations are not ours: a
-        // CGN translates toward its external address, it does not
-        // transit-route.
-        if (&in == &access_if_) on_access_ip(pkt);
+    host_.nic().set_frame_hook([this](net::PacketView& v, sim::Frame& f) {
+        return from_access(v, f);
     });
-    host_.set_local_intercept([this](stack::Iface& in,
-                                     const net::Ipv4Packet& pkt,
-                                     std::span<const std::uint8_t>) {
-        if (!engine_.configured()) return false;
-        if (&in == &wan_if_) return on_wan_local(pkt);
-        if (&in == &access_if_ && pkt.h.dst == engine_.external_addr()) {
-            // Subscriber traffic addressed to the shared external
-            // address: hairpin candidate (RFC 6888 REQ-9).
-            if (pkt.h.ttl <= 1) {
-                host_.send_time_exceeded(pkt);
-                return true;
-            }
-            auto out = engine_.hairpin(pkt);
-            if (!out) return false; // e.g. pinging the external address
-            const auto dst = net::ipv4_dst(*out);
-            emit(std::move(*out), dst);
-            return true;
-        }
-        return false;
-    });
+    wan_nic_.set_frame_hook(
+        [this](net::PacketView& v, sim::Frame& f) { return from_wan(v, f); });
 }
 
 void CgnGateway::connect_access(sim::Link& link, sim::Link::Side side) {
@@ -376,42 +358,55 @@ void CgnGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
     });
 }
 
-void CgnGateway::on_access_ip(const net::Ipv4Packet& pkt) {
-    if (!engine_.configured()) return;
+bool CgnGateway::from_access(net::PacketView& v, sim::Frame& frame) {
+    if (!engine_.configured()) return false;
+    const net::Ipv4Addr dst = v.dst();
+    const bool local = dst.is_broadcast() || host_.is_local_addr(dst);
+    // Of the traffic addressed to the CGN itself, only subscriber traffic
+    // to the shared external address is the engine's: a hairpin
+    // candidate (RFC 6888 REQ-9). DHCP and the rest go to the stack.
+    if (local && dst != engine_.external_addr()) return false;
     // Forwarding-path TTL check precedes translation (Linux order), so
-    // the Time Exceeded quote embeds the pristine received packet.
-    if (pkt.h.ttl <= 1) {
-        host_.send_time_exceeded(pkt);
-        return;
-    }
-    const auto dst = pkt.h.dst;
-    auto out = engine_.outbound(pkt);
-    if (!out) return;
-    emit(std::move(*out), dst);
-}
-
-bool CgnGateway::on_wan_local(const net::Ipv4Packet& pkt) {
-    bool handled = false;
-    auto out = engine_.inbound(pkt, handled);
-    if (!handled) return false; // CGN-host local (DHCP toward the ISP)
-    // Only a packet the engine attributes to a subscriber flow is a
-    // forwarding event; its TTL expiring here draws a Time Exceeded.
-    if (out && pkt.h.ttl <= 1) {
-        host_.send_time_exceeded(pkt);
+    // the Time Exceeded quotes the packet as received.
+    if (v.ttl() <= 1) {
+        host_.send_time_exceeded(
+            net::Ipv4Packet::parse(stack::datagram_of(frame)));
+        host_.nic().pool().release(std::move(frame));
         return true;
     }
-    if (out) {
-        const auto dst = net::ipv4_dst(*out);
-        emit(std::move(*out), dst);
+    if (local) {
+        if (!engine_.hairpin(v)) return false; // e.g. pinging the address
+    } else if (!engine_.outbound(v)) {
+        host_.nic().pool().release(std::move(frame));
+        return true;
     }
+    frame.resize(14u + v.total_len()); // shed trailing bytes and padding
+    host_.forward_frame(std::move(frame), v.dst());
     return true;
 }
 
-void CgnGateway::emit(net::Bytes datagram, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr) return;
-    host_.send_raw(*route->iface, std::move(datagram),
-                   route->via ? *route->via : dst);
+bool CgnGateway::from_wan(net::PacketView& v, sim::Frame& frame) {
+    // Packets for other hosts are not the engine's: a CGN translates
+    // toward its external address, it does not transit-route.
+    if (!engine_.configured()) return false;
+    // Only a packet the engine attributes to a subscriber flow makes an
+    // expiring TTL a forwarding event, and translating it still
+    // refreshes its binding; the Time Exceeded quotes it as received, so
+    // copy it before the rewrite.
+    std::optional<net::Ipv4Packet> expiring;
+    if (v.ttl() <= 1)
+        expiring = net::Ipv4Packet::parse(stack::datagram_of(frame));
+    bool handled = false;
+    const bool forwarded = engine_.inbound(v, handled);
+    if (!handled) return false; // CGN-host local (DHCP toward the ISP)
+    if (forwarded && expiring) host_.send_time_exceeded(*expiring);
+    if (!forwarded || expiring) {
+        wan_nic_.pool().release(std::move(frame));
+        return true;
+    }
+    frame.resize(14u + v.total_len());
+    host_.forward_frame(std::move(frame), v.dst());
+    return true;
 }
 
 } // namespace gatekit::gateway

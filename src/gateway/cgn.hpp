@@ -13,8 +13,9 @@
 // an all-correct DeviceProfile: UDP/TCP through the L4Translator of the
 // subscriber's block (a UDP + TCP BindingTable pair per block, or one
 // shared pool), ICMP through one IcmpTranslator; unknown transports are
-// dropped. The gateway's datapath rides the same Host/NetIf packet-pool
-// stack as every other device.
+// dropped. The gateway's datapath is the same as a home gateway's: frame
+// hooks on both ports translate every protocol in the frame's own pool
+// buffer and forward it from there.
 #pragma once
 
 #include <functional>
@@ -109,6 +110,9 @@ public:
     /// Subscriber-to-subscriber traffic addressed to the external
     /// address (UDP only, like the consumer devices' hairpin).
     std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
+    /// The same in place: true when `v` was rewritten toward the target
+    /// subscriber; false leaves it untouched.
+    bool hairpin(net::PacketView& v);
 
     /// Live bindings a subscriber currently holds (UDP + TCP).
     std::size_t live_bindings(net::Ipv4Addr subscriber);
@@ -181,9 +185,11 @@ private:
 /// The deployable middle box: a Host with an access-side interface (it
 /// runs the access network's DHCP server, handing each home gateway its
 /// WAN lease) and a WAN interface (DHCP client toward the ISP), with a
-/// CgnEngine spliced into forwarding and local delivery the same way
-/// HomeGateway splices its NatEngine. No FwdPath: carrier boxes forward
-/// at line rate relative to the CPE devices under study.
+/// CgnEngine in both ports' frame hooks the way HomeGateway has its
+/// NatEngine: frames are translated in place and forwarded in the same
+/// buffer, and whatever the engine does not claim reaches the CGN's own
+/// stack. No FwdPath: carrier boxes forward at line rate relative to the
+/// CPE devices under study.
 class CgnGateway {
 public:
     struct Config {
@@ -217,9 +223,9 @@ public:
     stack::Iface& wan_if() { return wan_if_; }
 
 private:
-    void on_access_ip(const net::Ipv4Packet& pkt);
-    bool on_wan_local(const net::Ipv4Packet& pkt);
-    void emit(net::Bytes datagram, net::Ipv4Addr dst);
+    /// The frame hooks of the access and WAN ports: the whole datapath.
+    bool from_access(net::PacketView& v, sim::Frame& frame);
+    bool from_wan(net::PacketView& v, sim::Frame& frame);
 
     Config config_;
     stack::Host host_;

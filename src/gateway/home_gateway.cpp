@@ -1,6 +1,7 @@
 #include "gateway/home_gateway.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -23,72 +24,13 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
     for (const Rule& r : config_.profile.firewall_rules)
         filter_.add_rule(r);
 
-    // Datapath hooks: LAN->WAN via the forward hook (dst is never local),
-    // WAN->LAN via local intercept (inbound packets target the WAN addr).
-    host_.set_forward_hook([this](stack::Iface& in,
-                                  const net::Ipv4Packet& pkt,
-                                  std::span<const std::uint8_t>) {
-        if (stalled()) return; // faulted device forwards nothing
-        if (&in == &lan_if_) on_lan_ip(in, pkt);
-        // WAN-side packets for non-local destinations: only the plain
-        // router fallback forwards into the LAN subnet.
-        else if (config_.profile.unknown_proto ==
-                     UnknownProtocolPolicy::Untranslated &&
-                 pkt.h.dst.same_subnet(config_.lan_addr,
-                                       config_.lan_prefix_len)) {
-            const bool decrement = config_.profile.decrement_ttl;
-            if (decrement && pkt.h.ttl <= 1) {
-                host_.send_time_exceeded(pkt);
-                return;
-            }
-            auto out = translate_serialized(pkt, [&](net::PacketView& v) {
-                if (decrement) v.decrement_ttl();
-                return true;
-            });
-            if (!out) return;
-            const auto dst = pkt.h.dst;
-            const std::size_t len = out->size();
-            fwd_.submit(Direction::Down, len,
-                        [this, bytes = std::move(*out), dst]() mutable {
-                            emit_lan(std::move(bytes), dst);
-                        });
-        }
-    });
-    host_.set_local_intercept([this](stack::Iface& in,
-                                     const net::Ipv4Packet& pkt,
-                                     std::span<const std::uint8_t>) {
-        // During a fault stall the device is dead to the wire: swallow
-        // everything (NAT'd and gateway-local alike) until it recovers.
-        if (stalled()) return true;
-        if (!nat_.configured()) return false;
-        if (&in == &wan_if_) return on_wan_local(pkt);
-        // LAN-side packets addressed to the WAN address: hairpin
-        // candidates on devices that support it; otherwise they reach
-        // the gateway's own stack (e.g. pinging the WAN address).
-        if (&in == &lan_if_ && pkt.h.dst == nat_.wan_addr()) {
-            auto out = nat_.hairpin(pkt);
-            if (!out) return false;
-            const auto dst = net::ipv4_dst(*out);
-            const std::size_t len = out->size();
-            fwd_.submit(Direction::Down, len,
-                        [this, bytes = std::move(*out), dst]() mutable {
-                            emit_lan(std::move(bytes), dst);
-                        });
-            return true;
-        }
-        return false;
-    });
-    // Zero-copy datapath: UDP/TCP in untagged unicast frames to the
-    // gateway's own MACs is translated in place and forwarded in the
-    // same buffer.
-    host_.nic().set_fast_ip_hook(
-        [this](net::PacketView& v, sim::Frame& f) {
-            return fast_from_lan(v, f);
-        });
-    wan_nic_.set_fast_ip_hook(
-        [this](net::PacketView& v, sim::Frame& f) {
-            return fast_from_wan(v, f);
-        });
+    // The datapath: every IPv4 frame to the gateway's MACs (or broadcast)
+    // meets these hooks first and is translated and forwarded in its own
+    // buffer; what is not the NAT's falls through to the gateway's stack.
+    host_.nic().set_frame_hook(
+        [this](net::PacketView& v, sim::Frame& f) { return from_lan(v, f); });
+    wan_nic_.set_frame_hook(
+        [this](net::PacketView& v, sim::Frame& f) { return from_wan(v, f); });
 }
 
 bool HomeGateway::filter_pass(const RuleChain::Key& key) {
@@ -104,121 +46,97 @@ static bool filter_active(const RuleChain& f) {
     return !f.empty() || f.default_verdict() != RuleVerdict::kAccept;
 }
 
-static bool is_udp_or_tcp(std::uint8_t proto) {
-    return proto == net::proto::kUdp || proto == net::proto::kTcp;
-}
-
 bool HomeGateway::lan_to_wan(net::PacketView& v) {
     // FORWARD chain first, pre-SNAT (the internal view of the flow).
     return (!filter_active(filter_) || filter_pass(RuleChain::key_of(v))) &&
            nat_.outbound(v) == L4Verdict::kForwarded;
 }
 
-bool HomeGateway::fast_from_lan(net::PacketView& v, sim::Frame& frame) {
-    // Both parsed-path hooks swallow all traffic during a fault stall.
-    if (stalled()) {
-        host_.nic().pool().release(std::move(frame));
-        return true;
-    }
-    // ICMP and other transports take the parsed path (on_lan_ip).
-    if (!nat_.configured() || !is_udp_or_tcp(v.protocol())) return false;
-    const net::Ipv4Addr dst = v.dst();
-    if (dst.is_broadcast() || host_.is_local_addr(dst))
-        return false; // gateway-local / hairpin: parsed delivery path
-    // TTL expiry needs the pristine parsed packet for the ICMP quote:
-    // defer to on_lan_ip before anything rewrites the frame.
-    if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
-    if (!lan_to_wan(v)) {
-        host_.nic().pool().release(std::move(frame));
-        return true;
-    }
-    frame.resize(14u + v.total_len()); // shed trailing bytes and padding
-    fwd_.submit(Direction::Up, v.total_len(),
-                [this, f = std::move(frame), dst]() mutable {
-                    emit_wan_frame(std::move(f), dst);
-                });
+bool HomeGateway::expires(const net::PacketView& v) const {
+    return config_.profile.decrement_ttl && v.ttl() <= 1;
+}
+
+/// Consume a frame the datapath drops, recycling it into its port.
+static bool drop(stack::NetIf& port, sim::Frame& frame) {
+    port.pool().release(std::move(frame));
     return true;
 }
 
-bool HomeGateway::fast_from_wan(net::PacketView& v, sim::Frame& frame) {
-    if (stalled()) {
-        wan_nic_.pool().release(std::move(frame));
+bool HomeGateway::time_exceeded(stack::NetIf& port, sim::Frame& frame) {
+    host_.send_time_exceeded(
+        net::Ipv4Packet::parse(stack::datagram_of(frame)));
+    return drop(port, frame);
+}
+
+void HomeGateway::forward(Direction dir, const net::PacketView& v,
+                          sim::Frame& frame) {
+    frame.resize(14u + v.total_len()); // shed trailing bytes and padding
+    const stack::Iface* egress = dir == Direction::Up ? &wan_if_ : &lan_if_;
+    fwd_.submit(dir, v.total_len(),
+                [this, f = std::move(frame), dst = v.dst(), egress]() mutable {
+                    host_.forward_frame(std::move(f), dst, egress);
+                });
+}
+
+bool HomeGateway::from_lan(net::PacketView& v, sim::Frame& frame) {
+    stack::NetIf& lan_nic = host_.nic();
+    // During a fault stall the device is dead to the wire: swallow
+    // everything (NAT'd and gateway-local alike) until it recovers.
+    if (stalled()) return drop(lan_nic, frame);
+    if (!nat_.configured()) return false;
+    const net::Ipv4Addr dst = v.dst();
+    if (dst.is_broadcast() || host_.is_local_addr(dst)) {
+        // Addressed to the gateway: a hairpin candidate when it targets
+        // the WAN address of a device that hairpins; otherwise it is for
+        // the gateway's own stack (e.g. pinging the WAN address).
+        if (dst != nat_.wan_addr() || !nat_.hairpin(v)) return false;
+        forward(Direction::Down, v, frame);
         return true;
     }
-    if (!nat_.configured() || !is_udp_or_tcp(v.protocol())) return false;
-    const net::Ipv4Addr wire_dst = v.dst();
-    if (wire_dst.is_broadcast() || !host_.is_local_addr(wire_dst))
-        return false; // plain-router fallback (or not ours)
-    // Same deferral as the LAN side: an expiring TTL must reach
-    // on_wan_local unrewritten so the Time Exceeded quote is faithful.
-    if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
-    const L4Verdict verdict = nat_.inbound(v);
-    if (verdict == L4Verdict::kNotOurs) {
-        // Gateway-local traffic (DHCP, DNS, unsolicited packets): straight
-        // to the gateway's own stack, without the local intercept looking
-        // the flow up a second time.
-        const std::span<const std::uint8_t> dgram(frame.data() + 14,
-                                                  frame.size() - 14);
-        host_.deliver_to_stack(wan_if_, net::Ipv4Packet::parse(dgram),
-                               dgram);
-        wan_nic_.pool().release(std::move(frame));
+    // Linux order: the forwarding path's TTL check (and its Time
+    // Exceeded, quoting the packet as received) precedes the FORWARD
+    // chain and translation.
+    if (expires(v)) return time_exceeded(lan_nic, frame);
+    if (!lan_to_wan(v)) return drop(lan_nic, frame);
+    forward(Direction::Up, v, frame);
+    return true;
+}
+
+bool HomeGateway::from_wan(net::PacketView& v, sim::Frame& frame) {
+    if (stalled()) return drop(wan_nic_, frame);
+    const net::Ipv4Addr dst = v.dst();
+    if (!dst.is_broadcast() && !host_.is_local_addr(dst)) {
+        // For another host: only the plain-router fallback forwards, and
+        // only into the LAN subnet, bypassing NAT and the FORWARD chain.
+        if (config_.profile.unknown_proto !=
+                UnknownProtocolPolicy::Untranslated ||
+            !dst.same_subnet(config_.lan_addr, config_.lan_prefix_len))
+            return false;
+        if (expires(v)) return time_exceeded(wan_nic_, frame);
+        if (config_.profile.decrement_ttl) v.decrement_ttl();
+        forward(Direction::Down, v, frame);
         return true;
+    }
+    if (!nat_.configured()) return false;
+    // Only a packet the NAT forwards makes an expiring TTL a forwarding
+    // event, and translating it still refreshes its binding; the Time
+    // Exceeded quotes it as received, so copy it before the rewrite.
+    std::optional<net::Ipv4Packet> expiring;
+    if (expires(v))
+        expiring = net::Ipv4Packet::parse(stack::datagram_of(frame));
+    const L4Verdict verdict = nat_.inbound(v);
+    if (verdict == L4Verdict::kNotOurs)
+        return false; // gateway-local: DHCP, DNS, unsolicited packets
+    if (verdict != L4Verdict::kForwarded) return drop(wan_nic_, frame);
+    if (expiring) {
+        host_.send_time_exceeded(*expiring);
+        return drop(wan_nic_, frame);
     }
     // The FORWARD chain sees the internal (post-DNAT) view of the flow.
-    if (verdict != L4Verdict::kForwarded ||
-        (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))) {
-        wan_nic_.pool().release(std::move(frame));
-        return true;
-    }
-    frame.resize(14u + v.total_len());
-    const net::Ipv4Addr dst = v.dst(); // internal destination post-rewrite
-    fwd_.submit(Direction::Down, v.total_len(),
-                [this, f = std::move(frame), dst]() mutable {
-                    emit_lan_frame(std::move(f), dst);
-                });
+    if (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))
+        return drop(wan_nic_, frame);
+    forward(Direction::Down, v, frame);
     return true;
-}
-
-void HomeGateway::emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &wan_if_) {
-        wan_nic_.pool().release(std::move(frame));
-        return;
-    }
-    const auto next_hop = route->via ? *route->via : dst;
-    if (const auto mac = wan_if_.arp_cache().lookup(next_hop)) {
-        std::copy(mac->octets().begin(), mac->octets().end(), frame.begin());
-        // mac() returns by value; copy the octets out rather than
-        // binding a reference into the dead temporary.
-        const auto src = wan_nic_.mac().octets();
-        std::copy(src.begin(), src.end(), frame.begin() + 6);
-        wan_nic_.send_raw_frame(std::move(frame));
-        return;
-    }
-    // ARP miss: the queue-and-resolve machinery owns datagram bytes, not
-    // frames; copy the datagram out and recycle the frame shell.
-    net::Bytes dgram(frame.begin() + 14, frame.end());
-    wan_nic_.pool().release(std::move(frame));
-    wan_if_.send_ip_raw(std::move(dgram), next_hop);
-}
-
-void HomeGateway::emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &lan_if_) {
-        host_.nic().pool().release(std::move(frame));
-        return;
-    }
-    const auto next_hop = route->via ? *route->via : dst;
-    if (const auto mac = lan_if_.arp_cache().lookup(next_hop)) {
-        std::copy(mac->octets().begin(), mac->octets().end(), frame.begin());
-        const auto src = host_.nic().mac().octets();
-        std::copy(src.begin(), src.end(), frame.begin() + 6);
-        host_.nic().send_raw_frame(std::move(frame));
-        return;
-    }
-    net::Bytes dgram(frame.begin() + 14, frame.end());
-    host_.nic().pool().release(std::move(frame));
-    lan_if_.send_ip_raw(std::move(dgram), next_hop);
 }
 
 void HomeGateway::connect_lan(sim::Link& link, sim::Link::Side side) {
@@ -286,81 +204,6 @@ void HomeGateway::inject_fault(const GatewayFault& fault) {
     // Dump the flight recorder after applying the fault so the window
     // shows what led up to it.
     if (obs::trace_on(tracer_)) tracer_->trigger(obs_device_, "gateway.fault");
-}
-
-void HomeGateway::on_lan_ip(stack::Iface&, const net::Ipv4Packet& pkt) {
-    if (!nat_.configured()) return;
-    // Linux order: the forwarding path's TTL check (and its Time
-    // Exceeded) precedes the FORWARD chain. The NAT engine's own
-    // ttl<=1 drop stays as a backstop for direct engine users.
-    if (config_.profile.decrement_ttl && pkt.h.ttl <= 1) {
-        host_.send_time_exceeded(pkt);
-        return;
-    }
-    // Outbound translation never rewrites the destination, so route on
-    // the ingress parse instead of re-reading the header out of the
-    // rewritten bytes — drop accounting and forwarding then agree on
-    // one view of the packet.
-    const auto dst = pkt.h.dst;
-    // ICMP, other transports and any frame the zero-copy hook did not
-    // take (one not sent to the gateway's MAC) take the hook's steps on
-    // a serialized copy.
-    auto out = translate_serialized(
-        pkt, [this](net::PacketView& v) { return lan_to_wan(v); });
-    if (!out) return;
-    // Read the size before the lambda capture moves the buffer out.
-    const std::size_t len = out->size();
-    fwd_.submit(Direction::Up, len,
-                [this, bytes = std::move(*out), dst]() mutable {
-                    emit_wan(std::move(bytes), dst);
-                });
-}
-
-bool HomeGateway::on_wan_local(const net::Ipv4Packet& pkt) {
-    bool handled = false;
-    auto out = nat_.inbound(pkt, handled);
-    if (!handled) return false; // gateway-local traffic (DHCP, DNS, ping)
-    // The engine answered "this flow is NAT'd and would be forwarded";
-    // only now is a TTL of 1 a forwarding event rather than local
-    // delivery. Pre-fix the translated packet left here with TTL 0.
-    if (out && config_.profile.decrement_ttl && pkt.h.ttl <= 1) {
-        host_.send_time_exceeded(pkt);
-        return true;
-    }
-    if (out) {
-        if (filter_active(filter_)) {
-            // FORWARD chain, post-DNAT: key off the translated bytes so
-            // the chain sees the internal view in both directions.
-            const auto iv = net::PacketView::parse(
-                std::span<std::uint8_t>(out->data(), out->size()));
-            if (iv && !filter_pass(RuleChain::key_of(*iv)))
-                return true; // filtered; the packet was still ours
-        }
-        const auto dst = net::ipv4_dst(*out);
-        const std::size_t len = out->size();
-        fwd_.submit(Direction::Down, len,
-                    [this, bytes = std::move(*out), dst]() mutable {
-                        emit_lan(std::move(bytes), dst);
-                    });
-    }
-    return true;
-}
-
-void HomeGateway::emit_wan(net::Bytes datagram, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &wan_if_) return;
-    const auto next_hop = route->via ? *route->via : dst;
-    host_.send_raw(wan_if_, std::move(datagram), next_hop);
-}
-
-void HomeGateway::emit_lan(net::Bytes datagram, net::Ipv4Addr dst) {
-    // Route-table-driven (mirrors emit_wan): anything whose best route
-    // does not leave via the LAN port is dropped here, which preserves
-    // the old on-link-only gate while allowing routed LAN-side subnets.
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &lan_if_) return;
-    host_.send_raw(lan_if_, std::move(datagram),
-                   route->via ? *route->via : dst);
 }
 
 } // namespace gatekit::gateway

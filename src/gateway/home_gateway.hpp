@@ -1,7 +1,7 @@
 // HomeGateway: a complete simulated CPE device. Internally it is a Host
 // (giving it ARP, DHCP client/server, a DNS proxy and its own sockets)
-// plus a NAT datapath hooked in front of forwarding and local delivery,
-// and a forwarding-performance model. Behavior is entirely driven by its
+// plus a NAT datapath hooked in front of it on both ports' frames, and a
+// forwarding-performance model. Behavior is entirely driven by its
 // DeviceProfile; src/devices instantiates the paper's 34 models.
 #pragma once
 
@@ -91,22 +91,23 @@ public:
     RuleChain& filter() { return filter_; }
 
 private:
-    bool fast_from_lan(net::PacketView& v, sim::Frame& frame);
-    bool fast_from_wan(net::PacketView& v, sim::Frame& frame);
-    /// FORWARD chain plus outbound translation for one UDP/TCP view.
+    /// The frame hooks of the LAN and WAN ports: the whole datapath.
+    bool from_lan(net::PacketView& v, sim::Frame& frame);
+    bool from_wan(net::PacketView& v, sim::Frame& frame);
+    /// FORWARD chain plus outbound translation for one view.
     bool lan_to_wan(net::PacketView& v);
-    void emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst);
-    void emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst);
     bool filter_pass(const RuleChain::Key& key);
-
-    void on_lan_ip(stack::Iface& in, const net::Ipv4Packet& pkt);
-    bool on_wan_local(const net::Ipv4Packet& pkt);
-    /// Emit ICMP Time Exceeded toward `pkt`'s source (RFC 792): this hop
-    /// would have decremented the TTL to zero. Both datapath directions
-    /// land here, so cascaded (NAT444) chains report the expiring hop
-    /// instead of silently eating traceroute probes.
-    void emit_wan(net::Bytes datagram, net::Ipv4Addr dst);
-    void emit_lan(net::Bytes datagram, net::Ipv4Addr dst);
+    /// This hop would decrement `v`'s TTL to zero.
+    bool expires(const net::PacketView& v) const;
+    /// Emit ICMP Time Exceeded toward the source of the datagram in
+    /// `frame`, quoting it as received (RFC 792), and drop the frame.
+    /// Both datapath directions land here, so cascaded (NAT444) chains
+    /// report the expiring hop instead of silently eating traceroute
+    /// probes.
+    bool time_exceeded(stack::NetIf& port, sim::Frame& frame);
+    /// Queue the translated `v` (aliasing `frame`) on the forwarding
+    /// model, then send it out of the port `dir` leads to.
+    void forward(Direction dir, const net::PacketView& v, sim::Frame& frame);
 
     sim::EventLoop& loop_;
     Config config_;

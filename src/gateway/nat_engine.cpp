@@ -185,15 +185,18 @@ L4Verdict NatEngine::inbound_unknown(net::PacketView& v) {
 }
 
 std::optional<net::Bytes> NatEngine::hairpin(const net::Ipv4Packet& pkt) {
-    if (!profile_.hairpin || pkt.h.protocol != net::proto::kUdp)
-        return std::nullopt;
-    return translate_serialized(pkt, [this](net::PacketView& v) {
-        if (L4Translator::screen(v)) return false;
-        const Binding* target = udp_.find_by_external(v.dst_port());
-        return target != nullptr &&
-               l4_.hairpin(v, wan_addr_, target->key.internal) ==
-                   L4Verdict::kForwarded;
-    });
+    return translate_serialized(
+        pkt, [this](net::PacketView& v) { return hairpin(v); });
+}
+
+bool NatEngine::hairpin(net::PacketView& v) {
+    if (!profile_.hairpin || v.protocol() != net::proto::kUdp ||
+        L4Translator::screen(v))
+        return false;
+    const Binding* target = udp_.find_by_external(v.dst_port());
+    return target != nullptr &&
+           l4_.hairpin(v, wan_addr_, target->key.internal) ==
+               L4Verdict::kForwarded;
 }
 
 } // namespace gatekit::gateway

@@ -54,6 +54,9 @@ public:
     /// returns nullopt when the device does not hairpin or no binding
     /// matches the targeted external port).
     std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
+    /// The same in place: true when `v` was rewritten toward the target's
+    /// internal endpoint; false leaves it untouched.
+    bool hairpin(net::PacketView& v);
 
     BindingTable& udp_table() { return udp_; }
     BindingTable& tcp_table() { return tcp_; }

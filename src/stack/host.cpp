@@ -102,6 +102,16 @@ void Host::send_raw(Iface& iface, net::Bytes datagram,
     iface.send_ip_raw(std::move(datagram), next_hop);
 }
 
+void Host::forward_frame(sim::Frame frame, net::Ipv4Addr dst,
+                         const Iface* egress) {
+    const Route* route = lookup_route(dst);
+    if (route == nullptr || (egress != nullptr && route->iface != egress)) {
+        nic().pool().release(std::move(frame));
+        return;
+    }
+    route->iface->send_frame(std::move(frame), route->via ? *route->via : dst);
+}
+
 bool Host::is_local_addr(net::Ipv4Addr addr) const {
     for (const Iface* iface : ifaces_)
         if (iface->configured() && iface->addr() == addr) return true;
@@ -135,12 +145,6 @@ void Host::on_ip(Iface& iface, const net::Ipv4Packet& pkt,
 
 void Host::deliver_local(Iface& iface, const net::Ipv4Packet& pkt,
                          std::span<const std::uint8_t> raw) {
-    if (local_intercept_ && local_intercept_(iface, pkt, raw)) return;
-    deliver_to_stack(iface, pkt, raw);
-}
-
-void Host::deliver_to_stack(Iface& iface, const net::Ipv4Packet& pkt,
-                            std::span<const std::uint8_t> raw) {
     if (ip_observer_) ip_observer_(iface, pkt, raw);
     switch (pkt.h.protocol) {
     case net::proto::kIcmp:

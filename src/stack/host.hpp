@@ -1,7 +1,8 @@
 // A Linux-like end host: interfaces, longest-prefix routing, ICMP, and
 // transport demux for UDP, TCP, SCTP and DCCP. Both testbed hosts (test
-// client, test server) and the home gateway's control plane are Hosts;
-// the gateway adds a forwarding hook for its NAT datapath.
+// client, test server) and the gateways' control planes are Hosts; a
+// gateway's NAT datapath sits in front of the host as NetIf frame hooks
+// and hands the host only the frames that are not its to translate.
 #pragma once
 
 #include <functional>
@@ -76,6 +77,14 @@ public:
     /// (used by probes that forge packets, bypassing routing).
     void send_raw(Iface& iface, net::Bytes datagram, net::Ipv4Addr next_hop);
 
+    /// Forward a datagram held in an untagged IPv4 frame (bytes 14.., as
+    /// a NetIf frame hook receives it) toward `dst` in the same buffer:
+    /// route it, then Iface::send_frame. The frame is dropped when no
+    /// route exists or, with `egress` set, when the route leaves by
+    /// another interface.
+    void forward_frame(sim::Frame frame, net::Ipv4Addr dst,
+                       const Iface* egress = nullptr);
+
     // --- transports ----------------------------------------------------
     /// Open a UDP socket. `local_port == 0` picks an ephemeral port.
     /// `iface` binds the socket for broadcast sends (DHCP needs this).
@@ -120,27 +129,13 @@ public:
                                           std::span<const std::uint8_t>)>;
     void set_ip_observer(IpObserver obs) { ip_observer_ = std::move(obs); }
 
-    /// Forwarding hook: invoked for datagrams that arrive addressed to
-    /// some other host. Default behavior without a hook is to drop, as
+    /// Forwarding hook: invoked for parsed datagrams that arrive
+    /// addressed to some other host (the test server routes between WAN
+    /// subnets this way). Default behavior without a hook is to drop, as
     /// hosts do not forward.
     using ForwardHook = std::function<void(Iface&, const net::Ipv4Packet&,
                                            std::span<const std::uint8_t>)>;
     void set_forward_hook(ForwardHook hook) { forward_hook_ = std::move(hook); }
-
-    /// Pre-delivery intercept for datagrams addressed to this host.
-    /// Returning true consumes the packet. A NAT uses this on its WAN
-    /// interface: inbound packets for active bindings are addressed to
-    /// the WAN address, yet must be translated rather than delivered.
-    using LocalIntercept = std::function<bool(Iface&, const net::Ipv4Packet&,
-                                              std::span<const std::uint8_t>)>;
-    void set_local_intercept(LocalIntercept fn) {
-        local_intercept_ = std::move(fn);
-    }
-    /// Deliver a datagram addressed to this host to its own protocol
-    /// handlers, skipping the local intercept: for an intercept's owner
-    /// that has already ruled the datagram out, so it is not asked twice.
-    void deliver_to_stack(Iface& iface, const net::Ipv4Packet& pkt,
-                          std::span<const std::uint8_t> raw);
 
     /// Whether this host answers ICMP echo and emits ICMP errors.
     void set_icmp_enabled(bool on) { icmp_enabled_ = on; }
@@ -222,7 +217,6 @@ private:
     IcmpObserver icmp_observer_;
     IpObserver ip_observer_;
     ForwardHook forward_hook_;
-    LocalIntercept local_intercept_;
     bool icmp_enabled_ = true;
     std::uint16_t next_ephemeral_ = 33000;
     std::uint16_t ip_id_ = 1;

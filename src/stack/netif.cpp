@@ -39,11 +39,7 @@ void Iface::send_ip(const net::Ipv4Packet& pkt, net::Ipv4Addr next_hop) {
     send_ip_raw(pkt.serialize(), next_hop);
 }
 
-void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
-    if (next_hop.is_broadcast()) {
-        transmit_ip(std::move(datagram), net::MacAddr::broadcast());
-        return;
-    }
+std::optional<net::Ipv4Addr> Iface::l2_next_hop(net::Ipv4Addr next_hop) const {
     // Never ARP for an address outside this interface's subnet: no one
     // on the segment answers for it, so the datagram would sit behind a
     // doomed resolution and blackhole once the retry budget runs out.
@@ -51,9 +47,20 @@ void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
     // the L2 next hop for everything off-link. (Callers that already
     // resolved a route pass an on-link `via`, which is unaffected.)
     if (configured_ && !next_hop.same_subnet(addr_, prefix_len_)) {
-        if (gateway_.is_unspecified()) return; // off-link, no router
-        next_hop = gateway_;
+        if (gateway_.is_unspecified()) return std::nullopt;
+        return gateway_;
     }
+    return next_hop;
+}
+
+void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
+    if (next_hop.is_broadcast()) {
+        transmit_ip(std::move(datagram), net::MacAddr::broadcast());
+        return;
+    }
+    const auto hop = l2_next_hop(next_hop);
+    if (!hop) return; // off-link, no router
+    next_hop = *hop;
     if (auto mac = arp_.lookup(next_hop)) {
         transmit_ip(std::move(datagram), *mac);
         return;
@@ -71,6 +78,31 @@ void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
     pending.epoch = ++arp_epoch_;
     send_arp_request(next_hop);
     schedule_arp_retry(next_hop, pending.epoch);
+}
+
+void Iface::send_frame(sim::Frame frame, net::Ipv4Addr next_hop) {
+    GK_EXPECTS(!vlan_ && frame.size() >= 14);
+    const auto hop =
+        next_hop.is_broadcast() ? next_hop : l2_next_hop(next_hop);
+    if (!hop) {
+        parent_.pool().release(std::move(frame));
+        return;
+    }
+    const auto dst = hop->is_broadcast()
+                         ? std::optional(net::MacAddr::broadcast())
+                         : arp_.lookup(*hop);
+    if (!dst) {
+        // The queue-and-resolve machinery owns datagram bytes, not
+        // frames: copy the datagram out and recycle the frame shell.
+        net::Bytes datagram(frame.begin() + 14, frame.end());
+        parent_.pool().release(std::move(frame));
+        send_ip_raw(std::move(datagram), *hop);
+        return;
+    }
+    const auto src = parent_.mac().octets(); // by value: mac() is a copy
+    std::copy(dst->octets().begin(), dst->octets().end(), frame.begin());
+    std::copy(src.begin(), src.end(), frame.begin() + 6);
+    parent_.send_raw_frame(std::move(frame));
 }
 
 void Iface::send_arp_request(net::Ipv4Addr next_hop) {
@@ -201,15 +233,19 @@ void NetIf::send_raw_frame(sim::Frame frame) {
 }
 
 void NetIf::frame_in(sim::Frame raw) {
-    // Datapath intercept: untagged IPv4 unicast addressed to this port can
-    // skip the EthernetFrame/Ipv4Packet deep copies entirely. Anything the
-    // hook declines (or that fails the cheap shape checks) falls through to
-    // the generic demux below, so behaviour is unchanged — only faster.
-    if (fast_hook_ && raw.size() >= 34 && raw[12] == 0x08 && raw[13] == 0x00 &&
-        std::equal(raw.begin(), raw.begin() + 6, mac_.octets().begin())) {
+    // Datapath intercept: untagged IPv4 addressed to this port (or
+    // broadcast) goes to the hook without the EthernetFrame/Ipv4Packet
+    // deep copies. Anything the hook declines (or that fails the cheap
+    // shape checks) falls through to the generic demux below.
+    const auto addressed_to = [&](const net::MacAddr& m) {
+        return std::equal(raw.begin(), raw.begin() + 6, m.octets().begin());
+    };
+    if (frame_hook_ && raw.size() >= 34 && raw[12] == 0x08 &&
+        raw[13] == 0x00 &&
+        (addressed_to(mac_) || addressed_to(net::MacAddr::broadcast()))) {
         auto view = net::PacketView::parse(
             std::span<std::uint8_t>(raw.data() + 14, raw.size() - 14));
-        if (view && fast_hook_(*view, raw)) return; // consumed (or recycled)
+        if (view && frame_hook_(*view, raw)) return; // consumed (or recycled)
     }
     net::EthernetFrame frame;
     try {

@@ -25,6 +25,11 @@ namespace gatekit::stack {
 
 class NetIf;
 
+/// The datagram an untagged IPv4 frame carries (bytes 14..).
+inline std::span<const std::uint8_t> datagram_of(const sim::Frame& frame) {
+    return {frame.data() + 14, frame.size() - 14};
+}
+
 /// ARP resolution cache with a queue of datagrams awaiting resolution.
 class ArpCache {
 public:
@@ -75,6 +80,13 @@ public:
     /// Send pre-serialized datagram bytes (raw injection for probes).
     void send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop);
 
+    /// send_ip_raw for a datagram already framed in an untagged IPv4
+    /// frame (bytes 14.. of `frame`, as a NetIf frame hook receives it):
+    /// the same next-hop choice, with both MACs filled in place from the
+    /// ARP cache. On an ARP miss the datagram is copied out and queued
+    /// as send_ip_raw does. Untagged interfaces only.
+    void send_frame(sim::Frame frame, net::Ipv4Addr next_hop);
+
     ArpCache& arp_cache() { return arp_; }
 
     /// Called by NetIf on a frame for this subinterface.
@@ -92,6 +104,9 @@ private:
     };
 
     void transmit_ip(net::Bytes datagram, net::MacAddr dst);
+    /// The L2 next hop for `next_hop`: itself on-link, the configured
+    /// gateway off-link; nullopt when off-link with no gateway.
+    std::optional<net::Ipv4Addr> l2_next_hop(net::Ipv4Addr next_hop) const;
     void handle_arp(const net::EthernetFrame& frame);
     void send_arp_request(net::Ipv4Addr next_hop);
     void schedule_arp_retry(net::Ipv4Addr next_hop, std::uint64_t epoch);
@@ -134,13 +149,14 @@ public:
     void send_raw_frame(sim::Frame frame);
 
     /// Datapath intercept, tried before the generic parse on untagged
-    /// unicast IPv4 frames addressed to this port. The hook receives a
-    /// parsed view aliasing `frame` and may rewrite it in place and take
-    /// ownership (return true = consumed); returning false falls through
-    /// to the normal parse/demux path with the frame untouched. Installed
-    /// by HomeGateway on its LAN/WAN ports; plain hosts have none.
-    using FastIpHook = std::function<bool(net::PacketView&, sim::Frame&)>;
-    void set_fast_ip_hook(FastIpHook hook) { fast_hook_ = std::move(hook); }
+    /// IPv4 frames addressed to this port or to the broadcast MAC. The
+    /// hook receives a parsed view aliasing `frame` and may rewrite it in
+    /// place and take ownership (return true = consumed); returning false
+    /// falls through to the normal parse/demux path with the frame
+    /// untouched. It is the whole datapath of HomeGateway and CgnGateway,
+    /// installed on both their ports; plain hosts have none.
+    using FrameHook = std::function<bool(net::PacketView&, sim::Frame&)>;
+    void set_frame_hook(FrameHook hook) { frame_hook_ = std::move(hook); }
 
     void frame_in(sim::Frame frame) override;
 
@@ -154,7 +170,7 @@ private:
     sim::LinkEnd out_;
     std::vector<std::unique_ptr<Iface>> ifaces_;
     net::PacketPool pool_;
-    FastIpHook fast_hook_;
+    FrameHook frame_hook_;
 };
 
 } // namespace gatekit::stack

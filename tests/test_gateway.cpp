@@ -452,11 +452,11 @@ TEST(GatewayDns, TcpProxyModes) {
 
 // Regression: routing decisions must come from the ingress parse, never
 // from re-reading header bytes after the NAT rewrite (or after a NAT
-// drop, when there are no rewritten bytes at all). The frame hook defers
-// every TTL-expiring packet to the parsed path, whose Time Exceeded
-// quotes it untouched; the drop leg is exercised for a plain UDP packet
-// and for one carrying IP options, and the surviving packet (options
-// still on) is translated in place.
+// drop, when there are no rewritten bytes at all). The frame hook answers
+// a TTL-expiring packet before translating anything, with a Time
+// Exceeded parsed from the untouched frame; the drop leg is exercised
+// for a plain UDP packet and for one carrying IP options, and the
+// surviving packet (options still on) is translated in place.
 TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
     Bed bed;
     auto& slot = bed.slot();
