@@ -82,21 +82,15 @@ void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
 
 void Iface::send_frame(sim::Frame frame, net::Ipv4Addr next_hop) {
     GK_EXPECTS(!vlan_ && frame.size() >= 14);
-    const auto hop =
-        next_hop.is_broadcast() ? next_hop : l2_next_hop(next_hop);
-    if (!hop) {
-        parent_.pool().release(std::move(frame));
-        return;
-    }
-    const auto dst = hop->is_broadcast()
-                         ? std::optional(net::MacAddr::broadcast())
-                         : arp_.lookup(*hop);
+    const auto hop = l2_next_hop(next_hop);
+    const auto dst = hop ? arp_.lookup(*hop) : std::nullopt;
     if (!dst) {
-        // The queue-and-resolve machinery owns datagram bytes, not
-        // frames: copy the datagram out and recycle the frame shell.
+        // The queue-and-resolve machinery (and its drop when no router
+        // is known) owns datagram bytes, not frames: copy the datagram
+        // out and recycle the frame shell.
         net::Bytes datagram(frame.begin() + 14, frame.end());
         parent_.pool().release(std::move(frame));
-        send_ip_raw(std::move(datagram), *hop);
+        send_ip_raw(std::move(datagram), next_hop);
         return;
     }
     const auto src = parent_.mac().octets(); // by value: mac() is a copy

@@ -80,11 +80,11 @@ public:
     /// Send pre-serialized datagram bytes (raw injection for probes).
     void send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop);
 
-    /// send_ip_raw for a datagram already framed in an untagged IPv4
-    /// frame (bytes 14.. of `frame`, as a NetIf frame hook receives it):
-    /// the same next-hop choice, with both MACs filled in place from the
-    /// ARP cache. On an ARP miss the datagram is copied out and queued
-    /// as send_ip_raw does. Untagged interfaces only.
+    /// send_ip_raw for a unicast datagram already framed in an untagged
+    /// IPv4 frame (bytes 14.. of `frame`, as a NetIf frame hook receives
+    /// it): the same next-hop choice, with both MACs filled in place from
+    /// the ARP cache. On an ARP miss the datagram is copied out and
+    /// handed to send_ip_raw. Untagged interfaces only.
     void send_frame(sim::Frame frame, net::Ipv4Addr next_hop);
 
     ArpCache& arp_cache() { return arp_; }
