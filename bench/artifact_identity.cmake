@@ -4,7 +4,7 @@
 # invariant, so any byte difference is a behaviour change.
 #
 #   cmake -DBENCH_DIR=<dir holding the bench binaries>
-#         -DRESULTS_DIR=<repo>/results -DWORK_DIR=<scratch dir>
+#         -DRESULTS_DIR=<repo>/results -DWORK_DIR=<output dir>
 #         -P artifact_identity.cmake
 #
 # fig08_tcp2, fig09_tcp3 (about 30 s together) and population_campaign
