@@ -19,7 +19,8 @@ set(benches
   table1_devices table2_other
   fig02_udp_timeouts fig03_udp1 fig04_udp2 fig05_udp3 fig06_udp5
   fig07_tcp1 fig10_tcp4 udp4_port_reuse
-  holepunch_matrix attack_matrix cgn_matrix ablation futurework)
+  holepunch_matrix attack_matrix cgn_matrix ablation futurework
+  adversary_sweep)
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(failures "")
