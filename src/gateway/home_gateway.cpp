@@ -88,8 +88,18 @@ bool HomeGateway::from_lan(net::PacketView& v, sim::Frame& frame) {
     if (dst.is_broadcast() || host_.is_local_addr(dst)) {
         // Addressed to the gateway: a hairpin candidate when it targets
         // the WAN address of a device that hairpins; otherwise it is for
-        // the gateway's own stack (e.g. pinging the WAN address).
-        if (dst != nat_.wan_addr() || !nat_.hairpin(v)) return false;
+        // the gateway's own stack (e.g. pinging the WAN address). A
+        // hairpinned datagram is forwarded, so an expiring TTL draws a
+        // Time Exceeded quoting it as received, as on the WAN path.
+        if (dst != nat_.wan_addr()) return false;
+        std::optional<net::Ipv4Packet> expiring;
+        if (expires(v))
+            expiring = net::Ipv4Packet::parse(stack::datagram_of(frame));
+        if (!nat_.hairpin(v)) return false;
+        if (expiring) {
+            host_.send_time_exceeded(*expiring);
+            return drop(lan_nic, frame);
+        }
         forward(Direction::Down, v, frame);
         return true;
     }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "harness/testbed.hpp"
+#include "net/icmp.hpp"
+#include "net/udp.hpp"
 #include "stack/dccp_endpoint.hpp"
 #include "stack/sctp_endpoint.hpp"
 #include "stack/tcp_socket.hpp"
@@ -491,4 +493,67 @@ TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
     bed.loop.run();
     EXPECT_EQ(received, 1);
     EXPECT_EQ(seen_ttl, 1);
+}
+
+// A hairpinned datagram is forwarded back into the LAN, so its TTL is
+// checked like any forwarded packet's: at TTL 1 the sender gets a Time
+// Exceeded quoting the datagram as received, and the target hears
+// nothing. A TTL-1 packet to the WAN address that is not hairpinned is
+// still the gateway's own: an echo request draws an echo reply.
+TEST(GatewayNat, HairpinTtlOneDrawsTimeExceeded) {
+    auto profile = base_profile();
+    profile.hairpin = true;
+    Bed bed(profile);
+    auto& slot = bed.slot();
+    auto& client = bed.tb.client();
+
+    net::Endpoint ext;
+    auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    server_sock.set_receive_handler(
+        [&](net::Endpoint src, std::span<const std::uint8_t>,
+            const net::Ipv4Packet&) { ext = src; });
+    int target_got = 0;
+    auto& target = client.udp_open(slot.client_addr, 40000);
+    target.set_receive_handler(
+        [&](net::Endpoint, std::span<const std::uint8_t>,
+            const net::Ipv4Packet&) { ++target_got; });
+    target.send_to({slot.server_addr, 7000}, {1});
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(ext.addr, slot.gw_wan_addr);
+
+    std::optional<net::IcmpMessage> err;
+    net::Ipv4Addr err_src;
+    bool echo_reply = false;
+    client.set_icmp_observer(
+        [&](const net::Ipv4Packet& outer, const net::IcmpMessage& m) {
+            if (m.type == net::IcmpType::EchoReply && m.echo_id() == 7)
+                echo_reply = true;
+            if (m.type != net::IcmpType::TimeExceeded) return;
+            err = m;
+            err_src = outer.h.src;
+        });
+
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kUdp;
+    pkt.h.src = slot.client_addr;
+    pkt.h.dst = slot.gw_wan_addr;
+    pkt.h.ttl = 1;
+    net::UdpDatagram d;
+    d.src_port = 41000;
+    d.dst_port = ext.port;
+    d.payload = {2};
+    pkt.payload = d.serialize(pkt.h.src, pkt.h.dst);
+    const net::Bytes sent = pkt.serialize();
+    client.send_raw(*slot.client_if, sent, slot.gw->lan_addr());
+    bed.loop.run_for(std::chrono::milliseconds(50));
+
+    EXPECT_EQ(target_got, 0);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err_src, slot.gw->lan_addr());
+    EXPECT_EQ(err->payload, net::Bytes(sent.begin(), sent.begin() + 28));
+
+    client.send_icmp(slot.client_addr, slot.gw_wan_addr,
+                     net::IcmpMessage::make_echo(false, 7, 1), 1);
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_TRUE(echo_reply);
 }
