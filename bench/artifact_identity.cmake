@@ -8,7 +8,8 @@
 #         -P artifact_identity.cmake
 #
 # fig08_tcp2, fig09_tcp3 (about 30 s together) and population_campaign
-# (its report carries wall-clock lines) are left to a manual cmp.
+# (about 9 s and 80 MB of telemetry sidecars per run) are left to a
+# manual cmp.
 foreach(var BENCH_DIR RESULTS_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "artifact_identity: -D${var}=... is required")

@@ -332,27 +332,29 @@ int main() {
             std::cerr << "[population] FAIL: profile sidecar invalid: "
                       << error << "\n";
         }
-        std::cout << "\nTelemetry:";
+        std::cerr << "[population] telemetry:";
         if (!ts_path.empty())
-            std::cout << " " << ts_path << " (" << file_kb(ts_path)
+            std::cerr << " " << ts_path << " (" << file_kb(ts_path)
                       << " KB)" << (prof_path.empty() ? "" : ",");
         if (!prof_path.empty())
-            std::cout << " " << prof_path << " (" << file_kb(prof_path)
+            std::cerr << " " << prof_path << " (" << file_kb(prof_path)
                       << " KB)";
-        std::cout << "; analyze with bench/telemetry_report.\n";
+        std::cerr << "; analyze with bench/telemetry_report.\n";
     }
 
+    // Wall time and sidecar sizes vary from run to run, so they go to
+    // stderr: stdout is the byte-stable artifact.
     const long rss_mb = max_rss_kb() / 1024;
-    std::cout << "\nScale: " << count << " gateways in "
+    std::cerr << "[population] scale: " << count << " gateways in "
               << report::fmt_double(secs, 1) << " s at " << workers
-              << " worker(s), max RSS " << rss_mb << " MB.\n";
+              << " worker(s), max RSS " << rss_mb << " MB\n";
     if (rss_mb > 256) {
         ++failures;
         std::cerr << "[population] FAIL: max RSS " << rss_mb
                   << " MB > 256 MB flat-memory budget\n";
     }
 
-    std::cout << "population_campaign: "
+    std::cout << "\npopulation_campaign: "
               << (failures == 0 ? "PASS" : "FAIL") << "\n";
     return failures == 0 ? 0 : 1;
 }
