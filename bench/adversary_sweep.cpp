@@ -1,13 +1,13 @@
 // adversary_sweep: graceful degradation under hostile workloads. Runs
-// the on-path binding-exhaustion audit (harness/adversary.hpp) against
-// every calibrated device: UDP and TCP SYN floods past the binding
-// cap, a port-collision storm, ICMP query-id and unknown-protocol
-// side-table floods, and a reboot injected mid-measurement. For the
-// off-path ReDAN remote-DoS scenarios delivered through the real
-// WAN-side packet path, see bench/attack_matrix.cpp. A device
-// passes when its caps hold, no state table grows without bound, the
-// pre-established victim flow keeps translating through the flood, and
-// the NAT recovers after the reboot.
+// the binding-exhaustion audit (harness/adversary.hpp), injected at each
+// device's LAN port, against every calibrated device: UDP and TCP SYN
+// floods past the binding cap, a port-collision storm, ICMP query-id and
+// unknown-protocol side-table floods, and a reboot injected
+// mid-measurement. For the off-path ReDAN remote-DoS scenarios delivered
+// through the real WAN-side packet path, see bench/attack_matrix.cpp. A
+// device passes when its caps hold, no state table grows without bound,
+// the pre-established victim flow keeps translating through the flood,
+// and the NAT recovers after the reboot.
 //
 // Ends with a supervised campaign under deliberately impossible per-unit
 // deadline budgets: every unit must come back classified (degraded /
@@ -15,8 +15,7 @@
 // of wedging on the first slow unit.
 //
 // Exit code 0 = every device degraded gracefully and every supervised
-// unit was classified; 1 = not. Extra env knobs on top of bench_common's:
-//   GATEKIT_ADVERSARY_SMOKE  shrink the floods (ctest smoke)
+// unit was classified; 1 = not.
 #include <iomanip>
 
 #include "bench_common.hpp"
@@ -42,14 +41,6 @@ int main() {
               << " devices...\n";
     tb.start_and_wait();
 
-    harness::AdversaryConfig cfg;
-    if (env_flag("GATEKIT_ADVERSARY_SMOKE")) {
-        // Still past the largest cap in the smoke roster (ctest pins
-        // GATEKIT_DEVICES alongside this), just fewer side-table probes.
-        cfg.icmp_flood = 1100;
-        cfg.ip_only_flood = 1100;
-    }
-
     report::CsvWriter csv({"tag", "udp_cap", "udp_peak", "udp_refused",
                            "tcp_peak", "tcp_refused", "collision_unique",
                            "icmp_peak", "ip_only_peak", "victim_ok",
@@ -64,7 +55,7 @@ int main() {
 
     bool all_ok = true;
     for (int i = 0; i < static_cast<int>(tb.device_count()); ++i) {
-        const auto r = harness::run_adversary(tb, i, cfg);
+        const auto r = harness::run_adversary(tb, i);
         all_ok = all_ok && r.ok();
         std::cout << std::left << std::setw(10) << r.device << std::right
                   << std::setw(6) << r.udp_cap << std::setw(8) << r.udp_peak

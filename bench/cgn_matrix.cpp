@@ -191,7 +191,9 @@ FairnessOutcome run_fairness(std::uint16_t block_size, int n_subs) {
         d.dst_port = 7000;
         d.payload = {1};
         pkt.payload = d.serialize(src, remote);
-        return engine.outbound(pkt).has_value();
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::parse(bytes);
+        return v && engine.outbound(*v) == gateway::L4Verdict::kForwarded;
     };
 
     const net::Ipv4Addr churner(100, 64, 0, 100);

@@ -122,18 +122,11 @@ CgnEngine::Slice* CgnEngine::slice_for_port(std::uint16_t external_port) {
     return blocks_[idx].get();
 }
 
-std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
-    GK_EXPECTS(configured());
-    if (pkt.h.ttl <= 1) return std::nullopt; // caller emits Time Exceeded
-    return translate_serialized(
-        pkt, [this](net::PacketView& v) { return outbound(v); });
-}
-
-bool CgnEngine::outbound(net::PacketView& v) {
+L4Verdict CgnEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
     if (!on_access_subnet(v.src())) {
         ++stats_.dropped_policy;
-        return false;
+        return L4Verdict::kPolicy;
     }
     switch (v.protocol()) {
     case net::proto::kUdp:
@@ -142,16 +135,14 @@ bool CgnEngine::outbound(net::PacketView& v) {
         // does not parse must not activate (or collide on) a block.
         if (const auto bad = L4Translator::screen(v)) {
             if (*bad == L4Verdict::kFragment) ++stats_.dropped_policy;
-            return false;
+            return *bad;
         }
         Slice* s = slice_for_subscriber(v.src());
-        if (s == nullptr) return false; // block collision (counted)
-        if (s->l4.outbound(v, external_addr_) != L4Verdict::kForwarded) {
-            ++stats_.pool_exhausted;
-            return false;
-        }
-        ++stats_.translated_out;
-        return true;
+        if (s == nullptr) return L4Verdict::kNoCapacity; // block collision
+        const L4Verdict verdict = s->l4.outbound(v, external_addr_);
+        ++(verdict == L4Verdict::kForwarded ? stats_.translated_out
+                                            : stats_.pool_exhausted);
+        return verdict;
     }
     case net::proto::kIcmp: {
         // A fragment's bytes hold no quote to expose; the translator
@@ -162,15 +153,15 @@ bool CgnEngine::outbound(net::PacketView& v) {
         if (verdict == L4Verdict::kNoCapacity ||
             verdict == L4Verdict::kFragment)
             ++stats_.dropped_policy;
-        if (verdict != L4Verdict::kForwarded) return false;
-        ++(error ? stats_.icmp_relayed : stats_.translated_out);
-        return true;
+        if (verdict == L4Verdict::kForwarded)
+            ++(error ? stats_.icmp_relayed : stats_.translated_out);
+        return verdict;
     }
     default:
         // RFC 6888 scopes a CGN to the transports it can multiplex;
         // anything else cannot share the external address and is dropped.
         ++stats_.dropped_policy;
-        return false;
+        return L4Verdict::kPolicy;
     }
 }
 
@@ -209,37 +200,26 @@ void CgnEngine::expose_quote(net::PacketView& v) {
     v.refresh_icmp_checksum();
 }
 
-std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
-                                             bool& handled) {
-    handled = false;
-    return translate_serialized(pkt, [&](net::PacketView& v) {
-        return inbound(v, handled);
-    });
-}
-
-bool CgnEngine::inbound(net::PacketView& v, bool& handled) {
+L4Verdict CgnEngine::inbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    handled = false;
-    if (v.dst() != external_addr_) return false;
+    if (v.dst() != external_addr_) return L4Verdict::kNotOurs;
     switch (v.protocol()) {
     case net::proto::kUdp:
     case net::proto::kTcp: {
         if (const auto bad = L4Translator::screen(v)) {
-            if (*bad == L4Verdict::kFragment) {
-                handled = true;
-                ++stats_.dropped_policy;
-            }
-            return false; // an unparseable header is for the CGN's stack
+            if (*bad != L4Verdict::kFragment)
+                return L4Verdict::kNotOurs; // unparseable: the CGN's stack
+            ++stats_.dropped_policy;
+            return L4Verdict::kFragment;
         }
         Slice* s = slice_for_port(v.dst_port());
-        if (s == nullptr) return false; // outside the pool: host-local
+        if (s == nullptr) return L4Verdict::kNotOurs; // outside the pool
         if (s->l4.inbound(v, external_addr_) != L4Verdict::kForwarded) {
             ++stats_.dropped_no_binding;
-            return false; // unsolicited: falls to the CGN's own stack
+            return L4Verdict::kNotOurs; // unsolicited: the CGN's own stack
         }
-        handled = true;
         ++stats_.translated_in;
-        return true;
+        return L4Verdict::kForwarded;
     }
     case net::proto::kIcmp: {
         const bool error = IcmpTranslator::is_error(v);
@@ -251,21 +231,15 @@ bool CgnEngine::inbound(net::PacketView& v, bool& handled) {
                 return s != nullptr ? &s->l4 : nullptr;
             },
             torn_down);
-        handled = verdict != L4Verdict::kNotOurs;
         if (verdict == L4Verdict::kErrorDropped) ++stats_.icmp_dropped;
         if (verdict == L4Verdict::kFragment) ++stats_.dropped_policy;
-        if (verdict != L4Verdict::kForwarded) return false;
-        ++(error ? stats_.icmp_relayed : stats_.translated_in);
-        return true;
+        if (verdict == L4Verdict::kForwarded)
+            ++(error ? stats_.icmp_relayed : stats_.translated_in);
+        return verdict;
     }
     default:
-        return false; // CGN-host local (none expected)
+        return L4Verdict::kNotOurs; // CGN-host local (none expected)
     }
-}
-
-std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
-    return translate_serialized(
-        pkt, [this](net::PacketView& v) { return hairpin(v); });
 }
 
 bool CgnEngine::hairpin(net::PacketView& v) {
@@ -376,7 +350,7 @@ bool CgnGateway::from_access(net::PacketView& v, sim::Frame& frame) {
     }
     if (local) {
         if (!engine_.hairpin(v)) return false; // e.g. pinging the address
-    } else if (!engine_.outbound(v)) {
+    } else if (engine_.outbound(v) != L4Verdict::kForwarded) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
@@ -396,9 +370,10 @@ bool CgnGateway::from_wan(net::PacketView& v, sim::Frame& frame) {
     std::optional<net::Ipv4Packet> expiring;
     if (v.ttl() <= 1)
         expiring = net::Ipv4Packet::parse(stack::datagram_of(frame));
-    bool handled = false;
-    const bool forwarded = engine_.inbound(v, handled);
-    if (!handled) return false; // CGN-host local (DHCP toward the ISP)
+    const L4Verdict verdict = engine_.inbound(v);
+    if (verdict == L4Verdict::kNotOurs)
+        return false; // CGN-host local (DHCP toward the ISP)
+    const bool forwarded = verdict == L4Verdict::kForwarded;
     if (forwarded && expiring) host_.send_time_exceeded(*expiring);
     if (!forwarded || expiring) {
         wan_nic_.pool().release(std::move(frame));

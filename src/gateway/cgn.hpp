@@ -98,20 +98,19 @@ public:
     std::optional<BlockInfo> block_of(net::Ipv4Addr subscriber) const;
     int num_blocks() const;
 
-    std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
-                                      bool& handled);
-    /// The datagram entry points above serialize once and come here:
-    /// translate in place, true when the view is to be forwarded. UDP/TCP
-    /// go through the subscriber's (inbound: the destination port's)
-    /// slice. Verdicts land in stats(); `handled` as for the datagrams.
-    bool outbound(net::PacketView& v);
-    bool inbound(net::PacketView& v, bool& handled);
+    /// Translate a subscriber->ISP datagram in place; only kForwarded
+    /// touched the bytes. UDP/TCP go through the subscriber's slice.
+    /// Drops land in stats(). TTL expiry is the gateway's, checked before
+    /// translation.
+    L4Verdict outbound(net::PacketView& v);
+    /// ISP->subscriber counterpart; UDP/TCP go through the destination
+    /// port's slice. kNotOurs (including unsolicited traffic) leaves the
+    /// packet untouched for the CGN's own stack.
+    L4Verdict inbound(net::PacketView& v);
     /// Subscriber-to-subscriber traffic addressed to the external
-    /// address (UDP only, like the consumer devices' hairpin).
-    std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
-    /// The same in place: true when `v` was rewritten toward the target
-    /// subscriber; false leaves it untouched.
+    /// address (UDP only, like the consumer devices' hairpin), in place:
+    /// true when `v` was rewritten toward the target subscriber; false
+    /// leaves it untouched.
     bool hairpin(net::PacketView& v);
 
     /// Live bindings a subscriber currently holds (UDP + TCP).

@@ -99,17 +99,4 @@ private:
 void forward_ip(net::PacketView& v, const DeviceProfile& p,
                 net::Ipv4Addr external);
 
-/// How the Ipv4Packet entry points reach the translator: serialize once,
-/// let `translate` rewrite a view of the bytes in place, and return them
-/// cut to the view's total length when it forwarded.
-template <typename Translate>
-std::optional<net::Bytes> translate_serialized(const net::Ipv4Packet& pkt,
-                                               Translate&& translate) {
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::parse(bytes);
-    if (!v || !translate(*v)) return std::nullopt;
-    bytes.resize(v->total_len());
-    return bytes;
-}
-
 } // namespace gatekit::gateway

@@ -42,14 +42,6 @@ void NatEngine::bind_observability(obs::MetricsRegistry& reg,
     l4_.bind_observability(reg, device);
 }
 
-std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
-    GK_EXPECTS(configured());
-    if (profile_.decrement_ttl && pkt.h.ttl <= 1) return std::nullopt;
-    return translate_serialized(pkt, [this](net::PacketView& v) {
-        return outbound(v) == L4Verdict::kForwarded;
-    });
-}
-
 L4Verdict NatEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
     L4Verdict verdict;
@@ -66,16 +58,6 @@ L4Verdict NatEngine::outbound(net::PacketView& v) {
     }
     if (verdict != L4Verdict::kForwarded) count_drop(verdict);
     return verdict;
-}
-
-std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
-                                             bool& handled) {
-    handled = false;
-    return translate_serialized(pkt, [&](net::PacketView& v) {
-        const L4Verdict verdict = inbound(v);
-        handled = verdict != L4Verdict::kNotOurs;
-        return verdict == L4Verdict::kForwarded;
-    });
 }
 
 L4Verdict NatEngine::inbound(net::PacketView& v) {
@@ -182,11 +164,6 @@ L4Verdict NatEngine::inbound_unknown(net::PacketView& v) {
     v.set_dst(it->second.internal);
     if (profile_.decrement_ttl) v.decrement_ttl();
     return L4Verdict::kForwarded;
-}
-
-std::optional<net::Bytes> NatEngine::hairpin(const net::Ipv4Packet& pkt) {
-    return translate_serialized(
-        pkt, [this](net::PacketView& v) { return hairpin(v); });
 }
 
 bool NatEngine::hairpin(net::PacketView& v) {

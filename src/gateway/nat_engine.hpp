@@ -11,13 +11,11 @@
 #pragma once
 
 #include <map>
-#include <optional>
 
 #include "gateway/binding_table.hpp"
 #include "gateway/icmp_translator.hpp"
 #include "gateway/l4_translator.hpp"
 #include "gateway/profile.hpp"
-#include "net/ipv4.hpp"
 
 namespace gatekit::gateway {
 
@@ -30,32 +28,20 @@ public:
     bool configured() const { return !wan_addr_.is_unspecified(); }
     net::Ipv4Addr wan_addr() const { return wan_addr_; }
 
-    /// Translate a LAN->WAN datagram. Returns the datagram to emit on the
-    /// WAN side, or nullopt when the packet is dropped (no binding
-    /// capacity, unknown protocol policy, TTL exhausted, ...).
-    std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
-
-    /// Translate a WAN->LAN datagram addressed to the WAN address (the
-    /// untranslated plain-router fallback toward LAN hosts is the
-    /// gateway's). Returns the datagram to emit on the LAN side. `handled`
-    /// is set when the packet belonged to the NAT (even if dropped); when
-    /// false the caller should deliver it to the gateway's own stack.
-    std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
-                                      bool& handled);
-
-    /// Translate a LAN->WAN datagram of any protocol in place. The
-    /// datagram entry points above serialize once and come here.
+    /// Translate a LAN->WAN datagram of any protocol in place. Drops
+    /// (no binding capacity, unknown protocol policy, ...) are counted.
+    /// TTL expiry is the gateway's, checked before translation.
     L4Verdict outbound(net::PacketView& v);
-    /// WAN->LAN counterpart. kNotOurs leaves the packet untouched for the
-    /// gateway's own stack; other drops were the NAT's (and counted).
+    /// WAN->LAN counterpart, for datagrams addressed to the WAN address
+    /// (the untranslated plain-router fallback toward LAN hosts is the
+    /// gateway's). kNotOurs leaves the packet untouched for the gateway's
+    /// own stack; other drops were the NAT's (and counted).
     L4Verdict inbound(net::PacketView& v);
 
-    /// Hairpin a LAN->WAN-address datagram back into the LAN (UDP only;
-    /// returns nullopt when the device does not hairpin or no binding
-    /// matches the targeted external port).
-    std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
-    /// The same in place: true when `v` was rewritten toward the target's
-    /// internal endpoint; false leaves it untouched.
+    /// Hairpin a LAN->WAN-address datagram back into the LAN in place
+    /// (UDP only): true when `v` was rewritten toward the target's
+    /// internal endpoint; false (the device does not hairpin, or no
+    /// binding matches the targeted external port) leaves it untouched.
     bool hairpin(net::PacketView& v);
 
     BindingTable& udp_table() { return udp_; }

@@ -1,14 +1,16 @@
-// On-path exhaustion audit: drives a device's NAT engine directly with
-// synthetic floods (UDP and TCP SYN binding exhaustion, port-collision
+// On-path exhaustion audit: floods a device from its own LAN with
+// synthetic traffic (UDP and TCP SYN binding exhaustion, port-collision
 // storms, ICMP query-id and unknown-protocol side-table floods) plus a
 // reboot mid-measurement, and checks that the device degrades
 // gracefully: caps enforced, no state table grows without bound, and the
 // pre-established victim flow keeps translating per the device's profile
-// policy. This battery is a capacity/graceful-degradation audit, not a
-// threat model: it injects engine-direct from an omniscient on-path
-// position. The off-path ReDAN remote-DoS scenarios (spoofed traffic
-// through the real WAN-side packet path) live in harness/attacks.hpp and
-// bench/attack_matrix.cpp.
+// policy. Every datagram is injected at the testbed's LAN port and takes
+// the path real traffic takes: the gateway's frame hook, TTL handling,
+// the FORWARD chain, the NAT and the forwarding queue. This battery is a
+// capacity/graceful-degradation audit from an attacker beside the victim,
+// not a threat model; the off-path ReDAN remote-DoS scenarios (spoofed
+// traffic through the WAN-side packet path) live in harness/attacks.hpp
+// and bench/attack_matrix.cpp.
 #pragma once
 
 #include <cstddef>
@@ -19,23 +21,6 @@
 #include "harness/testbed.hpp"
 
 namespace gatekit::harness {
-
-struct AdversaryConfig {
-    /// Distinct UDP flows in the exhaustion flood. The default exceeds the
-    /// largest calibrated binding cap (2000) so every device hits its
-    /// refusal path.
-    int udp_flood = 2100;
-    /// Distinct TCP SYNs in the transitory-binding flood.
-    int tcp_flood = 2100;
-    /// Internal hosts sharing one source port in the collision storm.
-    int collision_hosts = 64;
-    /// Distinct ICMP echo ids (side table hard-caps at 1024).
-    int icmp_flood = 1500;
-    /// Distinct unknown-protocol remotes (side table hard-caps at 1024).
-    int ip_only_flood = 1500;
-    /// Stall component of the mid-measurement reboot fault.
-    sim::Duration reboot_stall{std::chrono::milliseconds(50)};
-};
 
 struct AdversaryResult {
     std::string device;
@@ -61,12 +46,12 @@ struct AdversaryResult {
     bool ok() const { return failures.empty(); }
 };
 
-/// Run the full battery against testbed slot `slot`. Synchronous: talks
-/// to the gateway's NAT engine directly (bypassing the links, so flood
-/// pacing is decoupled from link rates) and advances the testbed's
-/// virtual clock between bursts. The testbed must be started and the
-/// slot ready. Leaves the device's translation state flushed.
-AdversaryResult run_adversary(Testbed& tb, int slot,
-                              const AdversaryConfig& cfg = {});
+/// Run the full battery against testbed slot `slot`. Synchronous: drives
+/// the event loop internally, pausing after every burst of flood
+/// datagrams. Counts come from the gateway's tables and NAT statistics
+/// and from what reaches the test server and the victim. The testbed
+/// must be started and the slot ready. Leaves the device's translation
+/// state flushed.
+AdversaryResult run_adversary(Testbed& tb, int slot);
 
 } // namespace gatekit::harness

@@ -2,8 +2,7 @@
 
 #include <optional>
 
-#include "net/udp.hpp"
-#include "net/tcp_header.hpp"
+#include "harness/raw_datagrams.hpp"
 #include "stack/udp_socket.hpp"
 
 namespace gatekit::harness {
@@ -18,38 +17,6 @@ using net::Ipv4Addr;
 // gateway emits toward them dies at the test server's forward path.
 const Ipv4Addr kOffPathAttacker{203, 0, 113, 66};
 const Ipv4Addr kPhantomRemote{203, 0, 113, 77};
-
-net::Bytes raw_udp(Ipv4Addr src, std::uint16_t sport, Ipv4Addr dst,
-                   std::uint16_t dport) {
-    net::Ipv4Packet p;
-    p.h.protocol = net::proto::kUdp;
-    p.h.src = src;
-    p.h.dst = dst;
-    net::UdpDatagram d;
-    d.src_port = sport;
-    d.dst_port = dport;
-    d.payload = {0x5a};
-    p.payload = d.serialize(src, dst);
-    return p.serialize();
-}
-
-net::Bytes raw_tcp(Ipv4Addr src, std::uint16_t sport, Ipv4Addr dst,
-                   std::uint16_t dport, bool syn, bool ack, bool rst) {
-    net::Ipv4Packet p;
-    p.h.protocol = net::proto::kTcp;
-    p.h.src = src;
-    p.h.dst = dst;
-    net::TcpSegment seg;
-    seg.src_port = sport;
-    seg.dst_port = dport;
-    seg.seq = 0x1000;
-    seg.ack = ack ? 0x2000 : 0;
-    seg.flags.syn = syn;
-    seg.flags.ack = ack;
-    seg.flags.rst = rst;
-    p.payload = seg.serialize(src, dst);
-    return p.serialize();
-}
 
 /// A structurally plausible RFC 792 quote of the datagram the victim's
 /// NAT would have emitted, as an off-path attacker fabricates it: the

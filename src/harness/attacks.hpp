@@ -1,8 +1,9 @@
 // Off-path attack battery (second generation). Unlike run_adversary's
-// engine-direct on-path floods, every packet here is delivered through
-// the real WAN-side path — netif -> rule chain -> NAT -> forward — from
-// spoofed sources the gateway has no reason to trust, reproducing the
-// ReDAN remote-DoS scenarios (Feng et al., arXiv:2410.21984):
+// capacity floods from the victim's LAN, every packet here is delivered
+// through the real WAN-side path — netif -> rule chain -> NAT ->
+// forward — from spoofed sources the gateway has no reason to trust,
+// reproducing the ReDAN remote-DoS scenarios (Feng et al.,
+// arXiv:2410.21984):
 //
 //   1. icmp_teardown   spoofed Port-Unreachable errors quoting guessed
 //                      internal tuples, swept across the external port

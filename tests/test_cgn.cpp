@@ -15,11 +15,15 @@
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "testutil.hpp"
+#include "engine_datagrams.hpp"
 
 using namespace gatekit;
 using namespace gatekit::gateway;
 using harness::Testbed;
 using testutil::Net2;
+using testutil::hairpin;
+using testutil::inbound;
+using testutil::outbound;
 
 namespace {
 
@@ -124,7 +128,7 @@ TEST(CgnEngine, DeterministicBlocksComputableOffline) {
 
     // The translation draws from exactly the block the offline formula
     // names — the RFC 7422 "no per-flow logging" property.
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out = outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     const auto port = udp_src_port(*out);
     EXPECT_GE(port, info->begin);
@@ -138,13 +142,13 @@ TEST(CgnEngine, BlockCollisionRefusesSecondSubscriber) {
     const net::Ipv4Addr first(100, 64, 0, 5);
     const net::Ipv4Addr second(100, 64, 0, 36);
     ASSERT_TRUE(
-        bed.engine.outbound(udp_pkt(first, 40000, kRemote, 7000)).has_value());
-    EXPECT_FALSE(
-        bed.engine.outbound(udp_pkt(second, 41000, kRemote, 7000)).has_value());
+        outbound(bed.engine, udp_pkt(first, 40000, kRemote, 7000)).has_value());
+    EXPECT_FALSE(outbound(bed.engine, udp_pkt(second, 41000, kRemote, 7000))
+                     .has_value());
     EXPECT_EQ(bed.engine.stats().block_collisions, 1u);
     // The owner is unaffected — no port leakage across the collision.
     EXPECT_TRUE(
-        bed.engine.outbound(udp_pkt(first, 40001, kRemote, 7000)).has_value());
+        outbound(bed.engine, udp_pkt(first, 40001, kRemote, 7000)).has_value());
     EXPECT_EQ(bed.engine.live_bindings(second), 0u);
 }
 
@@ -158,30 +162,30 @@ TEST(CgnEngine, SharedPoolExhaustionHitsTheVictim) {
     // A churning subscriber takes the whole pool...
     const net::Ipv4Addr churner(100, 64, 0, 10);
     for (std::uint16_t i = 0; i < 4; ++i)
-        ASSERT_TRUE(bed.engine
-                        .outbound(udp_pkt(churner, 40000 + i, kRemote, 7000))
-                        .has_value());
+        ASSERT_TRUE(
+            outbound(bed.engine, udp_pkt(churner, 40000 + i, kRemote, 7000))
+                .has_value());
     // ...and an unrelated subscriber's first flow is refused: the ReDAN
     // victim scenario deterministic blocks exist to prevent.
     const net::Ipv4Addr victim(100, 64, 0, 20);
-    EXPECT_FALSE(
-        bed.engine.outbound(udp_pkt(victim, 40000, kRemote, 7000)).has_value());
+    EXPECT_FALSE(outbound(bed.engine, udp_pkt(victim, 40000, kRemote, 7000))
+                     .has_value());
     EXPECT_GE(bed.engine.stats().pool_exhausted, 1u);
 }
 
 TEST(CgnEngine, EimSharesOnePortAcrossRemotes) {
     EngineBed bed; // eim = true
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto a = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
-    const auto b =
-        bed.engine.outbound(udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
+    const auto a = outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
+    const auto b = outbound(
+        bed.engine, udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     // Endpoint-independent: both flows ride one external port (what makes
     // hole punching through the CGN layer possible)...
     EXPECT_EQ(udp_src_port(*a), udp_src_port(*b));
     // ...while a different internal port draws a fresh one.
-    const auto c = bed.engine.outbound(udp_pkt(sub, 40001, kRemote, 7000));
+    const auto c = outbound(bed.engine, udp_pkt(sub, 40001, kRemote, 7000));
     ASSERT_TRUE(c.has_value());
     EXPECT_NE(udp_src_port(*a), udp_src_port(*c));
 }
@@ -191,9 +195,9 @@ TEST(CgnEngine, EdmDrawsFreshPortPerFlow) {
     cfg.eim = false;
     EngineBed bed(cfg);
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto a = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
-    const auto b =
-        bed.engine.outbound(udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
+    const auto a = outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
+    const auto b = outbound(
+        bed.engine, udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_NE(udp_src_port(*a), udp_src_port(*b)); // symmetric mapping
@@ -203,12 +207,12 @@ TEST(CgnEngine, HairpinConnectsTwoSubscribers) {
     EngineBed bed;
     const net::Ipv4Addr alice(100, 64, 0, 5);
     const net::Ipv4Addr bob(100, 64, 0, 6);
-    const auto out = bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000));
+    const auto out = outbound(bed.engine, udp_pkt(alice, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     const auto alice_ext = udp_src_port(*out);
 
     const auto pinned =
-        bed.engine.hairpin(udp_pkt(bob, 41000, kExternal, alice_ext));
+        hairpin(bed.engine, udp_pkt(bob, 41000, kExternal, alice_ext));
     ASSERT_TRUE(pinned.has_value());
     const auto pkt = net::Ipv4Packet::parse(*pinned);
     // Bob's packet arrives at Alice from the external address (RFC 4787
@@ -229,11 +233,11 @@ TEST(CgnEngine, HairpinDisabledByConfig) {
     cfg.hairpin = false;
     EngineBed bed(cfg);
     const net::Ipv4Addr alice(100, 64, 0, 5);
-    const auto out = bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000));
+    const auto out = outbound(bed.engine, udp_pkt(alice, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
-    EXPECT_FALSE(bed.engine
-                     .hairpin(udp_pkt(net::Ipv4Addr(100, 64, 0, 6), 41000,
-                                      kExternal, udp_src_port(*out)))
+    EXPECT_FALSE(hairpin(bed.engine, udp_pkt(net::Ipv4Addr(100, 64, 0, 6),
+                                             41000, kExternal,
+                                             udp_src_port(*out)))
                      .has_value());
 }
 
@@ -242,7 +246,7 @@ TEST(CgnEngine, UnsolicitedInboundIsNotHandled) {
     // A pool port whose block was never activated: nothing to deliver to.
     bool handled = true;
     EXPECT_FALSE(
-        bed.engine.inbound(udp_pkt(kRemote, 7000, kExternal, 30000), handled)
+        inbound(bed.engine, udp_pkt(kRemote, 7000, kExternal, 30000), handled)
             .has_value());
     EXPECT_FALSE(handled); // falls through to the CGN's own stack
 
@@ -250,13 +254,13 @@ TEST(CgnEngine, UnsolicitedInboundIsNotHandled) {
     // still refused: the CGN filters endpoint-dependently (RFC 6888's
     // default posture) and counts the drop.
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out = outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     handled = true;
-    EXPECT_FALSE(bed.engine
-                     .inbound(udp_pkt(net::Ipv4Addr(10, 0, 8, 8), 7000,
-                                      kExternal, udp_src_port(*out)),
-                              handled)
+    EXPECT_FALSE(inbound(bed.engine,
+                         udp_pkt(net::Ipv4Addr(10, 0, 8, 8), 7000, kExternal,
+                                 udp_src_port(*out)),
+                         handled)
                      .has_value());
     EXPECT_FALSE(handled);
     EXPECT_EQ(bed.engine.stats().dropped_no_binding, 1u);
@@ -296,11 +300,12 @@ TEST(CgnGolden, UdpBothDirections) {
     const net::Ipv4Addr sub(100, 64, 0, 5);
     auto out = udp_pkt(sub, 40000, kRemote, 7000, {'u', 'p'});
     out.h.id = 0x0102;
-    EXPECT_EQ(wire(bed.engine.outbound(out)),
+    EXPECT_EQ(wire(outbound(bed.engine, out)),
               "45 00 00 1e 01 02 00 00 3f 11 3d 8a c6 33 64 07 0a 00 09 09 2c "
               "00 1b 58 00 0a 05 ce 75 70");
     bool handled = false;
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   udp_pkt(kRemote, 7000, kExternal, 11264, {'d', 'n'}),
                   handled)),
               "45 00 00 1e 00 00 00 00 3f 11 04 82 0a 00 09 09 64 40 00 05 1b "
@@ -321,25 +326,29 @@ TEST(CgnGolden, TcpHandshakeFinLingerAndRst) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
     bool handled = false;
-    EXPECT_EQ(wire(bed.engine.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.engine,
                   tcp_pkt(sub, 41000, kRemote, 80, {.syn = true}))),
               "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
               "00 00 50 00 00 13 88 00 00 00 00 50 02 40 00 8f c5 00 00 63");
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   tcp_pkt(kRemote, 80, kExternal, 11264,
                           {.syn = true, .ack = true}),
                   handled)),
               "45 00 00 29 00 00 00 00 3f 06 04 82 0a 00 09 09 64 40 00 05 00 "
               "50 a0 28 00 00 13 88 00 00 23 28 50 12 40 00 be 5a 00 00 63");
-    EXPECT_EQ(wire(bed.engine.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.engine,
                   tcp_pkt(sub, 41000, kRemote, 80, {.ack = true}))),
               "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
               "00 00 50 00 00 13 88 00 00 23 28 50 10 40 00 6c 8f 00 00 63");
-    EXPECT_EQ(wire(bed.engine.outbound(tcp_pkt(sub, 41000, kRemote, 80,
+    EXPECT_EQ(wire(outbound(bed.engine, tcp_pkt(sub, 41000, kRemote, 80,
                                                {.ack = true, .fin = true}))),
               "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
               "00 00 50 00 00 13 88 00 00 23 28 50 11 40 00 6c 8e 00 00 63");
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   tcp_pkt(kRemote, 80, kExternal, 11264,
                           {.ack = true, .fin = true}),
                   handled)),
@@ -353,21 +362,25 @@ TEST(CgnGolden, TcpHandshakeFinLingerAndRst) {
     EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
 
     // RST in either direction removes the binding at once.
-    EXPECT_EQ(wire(bed.engine.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.engine,
                   tcp_pkt(sub, 41001, kRemote, 80, {.syn = true}))),
               "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
               "01 00 50 00 00 13 88 00 00 00 00 50 02 40 00 8f c4 00 00 63");
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   tcp_pkt(kRemote, 80, kExternal, 11265, {.rst = true}),
                   handled)),
               "45 00 00 29 00 00 00 00 3f 06 04 82 0a 00 09 09 64 40 00 05 00 "
               "50 a0 29 00 00 13 88 00 00 00 00 50 04 40 00 e1 8f 00 00 63");
     EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
-    EXPECT_EQ(wire(bed.engine.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.engine,
                   tcp_pkt(sub, 41002, kRemote, 80, {.syn = true}))),
               "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
               "02 00 50 00 00 13 88 00 00 00 00 50 02 40 00 8f c3 00 00 63");
-    EXPECT_EQ(wire(bed.engine.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.engine,
                   tcp_pkt(sub, 41002, kRemote, 80, {.rst = true}))),
               "45 00 00 29 00 00 00 00 3f 06 3e 8c c6 33 64 07 0a 00 09 09 2c "
               "02 00 50 00 00 13 88 00 00 00 00 50 04 40 00 8f c1 00 00 63");
@@ -381,10 +394,10 @@ TEST(CgnGolden, HairpinBytes) {
     const net::Ipv4Addr alice(100, 64, 0, 5);
     const net::Ipv4Addr bob(100, 64, 0, 6);
     ASSERT_TRUE(
-        bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000)).has_value());
+        outbound(bed.engine, udp_pkt(alice, 40000, kRemote, 7000)).has_value());
     auto probe = udp_pkt(bob, 41000, kExternal, 11264, {'h', 'p'});
     probe.h.id = 9;
-    EXPECT_EQ(wire(bed.engine.hairpin(probe)),
+    EXPECT_EQ(wire(hairpin(bed.engine, probe)),
               "45 00 00 1e 00 09 00 00 3f 11 ed 46 c6 33 64 07 64 40 00 05 34 "
               "00 9c 40 00 0a 38 a9 68 70");
     EXPECT_EQ(bed.engine.live_bindings(bob), 1u);
@@ -400,20 +413,20 @@ TEST(CgnEngine, FragmentsAreDroppedBeforeAnyBlockIsTouched) {
     const net::Ipv4Addr sub(100, 64, 0, 5);
     auto frag = udp_pkt(sub, 40000, kRemote, 7000, {'m', 'i', 'd'});
     frag.h.frag_offset = 32;
-    EXPECT_FALSE(bed.engine.outbound(frag).has_value());
+    EXPECT_FALSE(outbound(bed.engine, frag).has_value());
     EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
 
     auto first = udp_pkt(sub, 40000, kRemote, 7000, {'a', 'b', 'c'});
     first.h.more_fragments = true;
-    EXPECT_FALSE(bed.engine.outbound(first).has_value());
+    EXPECT_FALSE(outbound(bed.engine, first).has_value());
     EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
 
     ASSERT_TRUE(
-        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000)).has_value());
+        outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000)).has_value());
     auto in = udp_pkt(kRemote, 7000, kExternal, 11264);
     in.h.more_fragments = true;
     bool handled = false;
-    EXPECT_FALSE(bed.engine.inbound(in, handled).has_value());
+    EXPECT_FALSE(inbound(bed.engine, in, handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(bed.engine.stats().translated_in, 0u);
     EXPECT_EQ(bed.engine.stats().dropped_policy, 3u);
@@ -437,8 +450,8 @@ TEST(CgnEngine, OutboundErrorQuoteClaimsNoPortBlock) {
             net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable,
             0, udp_pkt(kRemote, 7000, idle, 40000, {}).serialize())
             .serialize();
-    EXPECT_TRUE(bed.engine.outbound(err).has_value());
-    EXPECT_TRUE(bed.engine.outbound(udp_pkt(neighbour, 41000, kRemote, 7000))
+    EXPECT_TRUE(outbound(bed.engine, err).has_value());
+    EXPECT_TRUE(outbound(bed.engine, udp_pkt(neighbour, 41000, kRemote, 7000))
                     .has_value());
     EXPECT_EQ(bed.engine.stats().block_collisions, 0u);
     EXPECT_EQ(bed.engine.live_bindings(neighbour), 1u);
@@ -457,7 +470,7 @@ TEST(CgnEngine, InboundErrorQuoteRewrittenWithValidChecksums) {
     // Empty payload: the whole datagram fits the RFC 792 8-byte quote,
     // so the UDP checksum is verifiable end-to-end after rewriting.
     const auto out =
-        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
+        outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000, {}));
     ASSERT_TRUE(out.has_value());
 
     net::Ipv4Packet err;
@@ -471,7 +484,7 @@ TEST(CgnEngine, InboundErrorQuoteRewrittenWithValidChecksums) {
                       .serialize();
 
     bool handled = false;
-    const auto relayed = bed.engine.inbound(err, handled);
+    const auto relayed = inbound(bed.engine, err, handled);
     ASSERT_TRUE(handled);
     ASSERT_TRUE(relayed.has_value());
 
@@ -807,14 +820,15 @@ net::Ipv4Packet error_to_external(const net::Bytes& quoted,
 TEST(CgnGolden, EchoOutAndReplyIn) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+    EXPECT_EQ(wire(outbound(bed.engine, icmp_pkt(
                   sub, kRemote,
                   net::IcmpMessage::make_echo(false, 0x0077, 1, {'p', 'g'}),
                   0x0101))),
               "45 00 00 1e 01 01 00 00 3f 01 3d 9b c6 33 64 07 0a 00 09 09 08 "
               "00 87 20 00 77 00 01 70 67");
     bool handled = false;
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   icmp_pkt(kRemote, kExternal,
                            net::IcmpMessage::make_echo(true, 0x0077, 1,
                                                        {'p', 'g'}),
@@ -832,9 +846,10 @@ TEST(CgnGolden, InboundErrorsRewriteTheQuote) {
     const net::Ipv4Addr sub(100, 64, 0, 5);
     bool handled = false;
     const auto udp_out =
-        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
+        outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000, {}));
     ASSERT_TRUE(udp_out.has_value());
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   error_to_external(*udp_out, net::IcmpType::DestUnreachable,
                                     net::icmp_code::kPortUnreachable),
                   handled)),
@@ -842,20 +857,24 @@ TEST(CgnGolden, InboundErrorsRewriteTheQuote) {
               "03 74 64 00 00 00 00 45 00 00 1c 00 00 00 00 3f 11 04 84 64 40 "
               "00 05 0a 00 09 09 9c 40 1b 58 00 08 d0 f7");
     EXPECT_TRUE(handled);
-    const auto tcp_out = bed.engine.outbound(
+    const auto tcp_out = outbound(
+        bed.engine,
         tcp_pkt(sub, 41000, kRemote, 80, {.syn = true}));
     ASSERT_TRUE(tcp_out.has_value());
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   error_to_external(*tcp_out, net::IcmpType::TimeExceeded,
                                     net::icmp_code::kTtlExceeded),
                   handled)),
               "45 00 00 38 0e 0e 00 00 3f 01 f6 69 0a 00 09 09 64 40 00 05 0b "
               "00 40 ff 00 00 00 00 45 00 00 29 00 00 00 00 3f 06 04 82 64 40 "
               "00 05 0a 00 09 09 a0 28 00 50 00 00 13 88");
-    const auto echo_out = bed.engine.outbound(
+    const auto echo_out = outbound(
+        bed.engine,
         icmp_pkt(sub, kRemote, net::IcmpMessage::make_echo(false, 0x0066, 2)));
     ASSERT_TRUE(echo_out.has_value());
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   error_to_external(*echo_out,
                                     net::IcmpType::DestUnreachable,
                                     net::icmp_code::kHostUnreachable),
@@ -872,12 +891,13 @@ TEST(CgnGolden, OutboundSubscriberErrorQuoteRewritten) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
     ASSERT_TRUE(
-        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000)).has_value());
+        outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000)).has_value());
     bool handled = false;
-    const auto in = bed.engine.inbound(
+    const auto in = inbound(
+        bed.engine,
         udp_pkt(kRemote, 7000, kExternal, 11264, {}), handled);
     ASSERT_TRUE(in.has_value());
-    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+    EXPECT_EQ(wire(outbound(bed.engine, icmp_pkt(
                   sub, kRemote,
                   net::IcmpMessage::make_error(
                       net::IcmpType::DestUnreachable,
@@ -889,7 +909,7 @@ TEST(CgnGolden, OutboundSubscriberErrorQuoteRewritten) {
     // Quoting an echo reply: only the address needs the external view.
     const auto reply = icmp_pkt(kRemote, sub,
                                 net::IcmpMessage::make_echo(true, 0x55, 1));
-    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+    EXPECT_EQ(wire(outbound(bed.engine, icmp_pkt(
                   sub, kRemote,
                   net::IcmpMessage::make_error(
                       net::IcmpType::DestUnreachable,
@@ -899,7 +919,7 @@ TEST(CgnGolden, OutboundSubscriberErrorQuoteRewritten) {
               "01 fc fe 00 00 00 00 45 00 00 1c 00 00 00 00 40 01 3d 9e 0a 00 "
               "09 09 c6 33 64 07 00 00 ff a9 00 55 00 01");
     // No binding for the quoted flow: the quote crosses unchanged.
-    EXPECT_EQ(wire(bed.engine.outbound(icmp_pkt(
+    EXPECT_EQ(wire(outbound(bed.engine, icmp_pkt(
                   sub, kRemote,
                   net::IcmpMessage::make_error(
                       net::IcmpType::DestUnreachable,
@@ -918,11 +938,12 @@ TEST(CgnGolden, UnclassifiedErrorCode) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
     const auto out =
-        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
+        outbound(bed.engine, udp_pkt(sub, 40000, kRemote, 7000, {}));
     ASSERT_TRUE(out.has_value());
     bool handled = true;
     // Destination Unreachable code 13 (administratively prohibited).
-    EXPECT_EQ(wire(bed.engine.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.engine,
                   error_to_external(*out, net::IcmpType::DestUnreachable, 13),
                   handled)),
               "<dropped>");
@@ -943,27 +964,26 @@ TEST(CgnEngine, IcmpFragmentsAreDroppedNotTranslated) {
     frag.h.dst = kRemote;
     frag.h.frag_offset = 100; // mid-stream: the "header" is data
     frag.payload = {0x08, 0x00, 0x00, 0x00, 0x12, 0x34, 0x00, 0x01};
-    EXPECT_FALSE(bed.engine.outbound(frag).has_value());
+    EXPECT_FALSE(outbound(bed.engine, frag).has_value());
     bool handled = true;
-    EXPECT_FALSE(bed.engine
-                     .inbound(icmp_pkt(kRemote, kExternal,
-                                       net::IcmpMessage::make_echo(
-                                           true, 0x1234, 1)),
-                              handled)
+    EXPECT_FALSE(inbound(bed.engine,
+                         icmp_pkt(kRemote, kExternal,
+                                  net::IcmpMessage::make_echo(true, 0x1234, 1)),
+                         handled)
                      .has_value());
     EXPECT_FALSE(handled); // no query was recorded
 
     // Inbound, a first fragment of a reply to a live query is dropped.
-    ASSERT_TRUE(bed.engine
-                    .outbound(icmp_pkt(sub, kRemote,
-                                       net::IcmpMessage::make_echo(
-                                           false, 0x0077, 1)))
-                    .has_value());
+    ASSERT_TRUE(
+        outbound(bed.engine,
+                 icmp_pkt(sub, kRemote,
+                          net::IcmpMessage::make_echo(false, 0x0077, 1)))
+            .has_value());
     auto reply = icmp_pkt(kRemote, kExternal,
                           net::IcmpMessage::make_echo(true, 0x0077, 1,
                                                       {'p', 'g'}));
     reply.h.more_fragments = true;
-    EXPECT_FALSE(bed.engine.inbound(reply, handled).has_value());
+    EXPECT_FALSE(inbound(bed.engine, reply, handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(bed.engine.stats().translated_out, 1u);
     EXPECT_EQ(bed.engine.stats().translated_in, 0u);
@@ -977,11 +997,11 @@ TEST(CgnGolden, UnknownTransportIsDropped) {
     dccp.h.src = net::Ipv4Addr(100, 64, 0, 5);
     dccp.h.dst = kRemote;
     dccp.payload = {0x9c, 0x40, 0x1b, 0x58, 0x05, 0x00, 0xab, 0xcd};
-    EXPECT_FALSE(bed.engine.outbound(dccp).has_value());
+    EXPECT_FALSE(outbound(bed.engine, dccp).has_value());
     EXPECT_EQ(bed.engine.stats().dropped_policy, 1u);
     dccp.h.src = kRemote;
     dccp.h.dst = kExternal;
     bool handled = true;
-    EXPECT_FALSE(bed.engine.inbound(dccp, handled).has_value());
+    EXPECT_FALSE(inbound(bed.engine, dccp, handled).has_value());
     EXPECT_FALSE(handled);
 }

@@ -18,10 +18,13 @@
 #include "stack/tcp_socket.hpp"
 #include "stack/udp_socket.hpp"
 #include "util/rng.hpp"
+#include "engine_datagrams.hpp"
 
 using namespace gatekit;
 using namespace gatekit::harness;
 using gateway::DeviceProfile;
+using testutil::inbound;
+using testutil::outbound;
 
 // --- link impairments -------------------------------------------------------
 
@@ -695,14 +698,14 @@ TEST(NatEngineRegression, SynRetransmitDoesNotEstablishOnSynAck) {
 
     // Original SYN plus one retransmission (lossy WAN ate the SYN-ACK).
     const auto syn = tcp_packet(kClient, kServer, 41000, 80, true, false);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound(nat, syn).has_value());
+    ASSERT_TRUE(outbound(nat, syn).has_value());
 
     // The server's SYN-ACK alone is not a completed handshake: two
     // outbound packets have been seen, but both carried SYN.
     const auto synack = tcp_packet(kServer, kWan, 80, 41000, true, true);
     bool handled = false;
-    ASSERT_TRUE(nat.inbound(synack, handled).has_value());
+    ASSERT_TRUE(inbound(nat, synack, handled).has_value());
     EXPECT_TRUE(handled);
     auto* b = nat.tcp_table().find_inbound(41000, {kServer, 80});
     ASSERT_NE(b, nullptr);
@@ -710,7 +713,7 @@ TEST(NatEngineRegression, SynRetransmitDoesNotEstablishOnSynAck) {
 
     // The client's final ACK completes it.
     const auto ackpkt = tcp_packet(kClient, kServer, 41000, 80, false, true);
-    ASSERT_TRUE(nat.outbound(ackpkt).has_value());
+    ASSERT_TRUE(outbound(nat, ackpkt).has_value());
     EXPECT_TRUE(b->established);
 }
 
@@ -729,9 +732,9 @@ TEST(NatEngineRegression, FlushForgetsEveryTable) {
     d.dst_port = 7000;
     d.payload = {1};
     udp.payload = d.serialize(udp.h.src, udp.h.dst);
-    ASSERT_TRUE(nat.outbound(udp).has_value());
+    ASSERT_TRUE(outbound(nat, udp).has_value());
     ASSERT_TRUE(
-        nat.outbound(tcp_packet(kClient, kServer, 41000, 80, true, false))
+        outbound(nat, tcp_packet(kClient, kServer, 41000, 80, true, false))
             .has_value());
     ASSERT_EQ(nat.udp_table().size(), 1u);
     ASSERT_EQ(nat.tcp_table().size(), 1u);
@@ -743,7 +746,7 @@ TEST(NatEngineRegression, FlushForgetsEveryTable) {
 
     // The tables keep working after a flush, and the popped timer-wheel
     // entries of the cleared bindings fire harmlessly.
-    ASSERT_TRUE(nat.outbound(udp).has_value());
+    ASSERT_TRUE(outbound(nat, udp).has_value());
     EXPECT_EQ(nat.udp_table().size(), 1u);
     loop.run_until(loop.now() + std::chrono::minutes(2));
     EXPECT_EQ(nat.udp_table().size(), 0u); // expired normally

@@ -12,9 +12,13 @@
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "util/assert.hpp"
+#include "engine_datagrams.hpp"
 
 using namespace gatekit;
 using namespace gatekit::gateway;
+using testutil::hairpin;
+using testutil::inbound;
+using testutil::outbound;
 
 namespace {
 
@@ -235,7 +239,7 @@ TEST(NatEngine, UdpOutboundTranslatesAndFixesChecksums) {
     NatEngine nat(loop, profile);
     nat.set_addresses(kWan);
 
-    const auto out = nat.outbound(udp_packet(40000, 7000, {'h', 'i'}));
+    const auto out = outbound(nat, udp_packet(40000, 7000, {'h', 'i'}));
     ASSERT_TRUE(out.has_value());
     const auto pkt = net::Ipv4Packet::parse(*out);
     EXPECT_EQ(pkt.h.src, kWan);
@@ -254,7 +258,7 @@ TEST(NatEngine, RoundTripIsInvertible) {
     NatEngine nat(loop, profile);
     nat.set_addresses(kWan);
 
-    const auto out = nat.outbound(udp_packet(40000, 7000, {'q'}));
+    const auto out = outbound(nat, udp_packet(40000, 7000, {'q'}));
     ASSERT_TRUE(out.has_value());
 
     // Fabricate the server's reply to the translated packet.
@@ -269,7 +273,7 @@ TEST(NatEngine, RoundTripIsInvertible) {
     reply.payload = rd.serialize(reply.h.src, reply.h.dst);
 
     bool handled = false;
-    const auto in = nat.inbound(reply, handled);
+    const auto in = inbound(nat, reply, handled);
     EXPECT_TRUE(handled);
     ASSERT_TRUE(in.has_value());
     const auto pkt = net::Ipv4Packet::parse(*in);
@@ -294,19 +298,9 @@ TEST(NatEngine, InboundWithoutBindingIsNotHandled) {
     d.dst_port = 68; // the gateway's own DHCP client port
     stray.payload = d.serialize(stray.h.src, stray.h.dst);
     bool handled = true;
-    const auto in = nat.inbound(stray, handled);
+    const auto in = inbound(nat, stray, handled);
     EXPECT_FALSE(handled); // falls through to the gateway's own stack
     EXPECT_FALSE(in.has_value());
-}
-
-TEST(NatEngine, TtlExhaustionDrops) {
-    sim::EventLoop loop;
-    auto profile = quick_profile();
-    NatEngine nat(loop, profile);
-    nat.set_addresses(kWan);
-    auto pkt = udp_packet(40000, 7000);
-    pkt.h.ttl = 1;
-    EXPECT_FALSE(nat.outbound(pkt).has_value());
 }
 
 TEST(NatEngine, TcpRstRemovesBindingImmediately) {
@@ -324,13 +318,13 @@ TEST(NatEngine, TcpRstRemovesBindingImmediately) {
     seg.dst_port = 80;
     seg.flags.syn = true;
     syn.payload = seg.serialize(syn.h.src, syn.h.dst);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound(nat, syn).has_value());
     EXPECT_EQ(nat.tcp_table().size(), 1u);
 
     seg.flags = {};
     seg.flags.rst = true;
     syn.payload = seg.serialize(syn.h.src, syn.h.dst);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound(nat, syn).has_value());
     EXPECT_EQ(nat.tcp_table().size(), 0u);
 }
 
@@ -350,11 +344,11 @@ TEST(NatEngine, HairpinRequiresKnobAndBinding) {
     d.src_port = 40001;
     d.dst_port = 40000;
     probe.payload = d.serialize(probe.h.src, probe.h.dst);
-    EXPECT_FALSE(nat.hairpin(probe).has_value());
+    EXPECT_FALSE(hairpin(nat, probe).has_value());
 
     // Create the target binding, then hairpin succeeds.
-    ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
-    const auto hp = nat.hairpin(probe);
+    ASSERT_TRUE(outbound(nat, udp_packet(40000, 7000)).has_value());
+    const auto hp = hairpin(nat, probe);
     ASSERT_TRUE(hp.has_value());
     const auto pkt = net::Ipv4Packet::parse(*hp);
     EXPECT_EQ(pkt.h.src, kWan);
@@ -365,7 +359,7 @@ TEST(NatEngine, UnconfiguredEngineViolatesContract) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    EXPECT_THROW(nat.outbound(udp_packet(1, 2)), gatekit::ContractViolation);
+    EXPECT_THROW(outbound(nat, udp_packet(1, 2)), gatekit::ContractViolation);
 }
 
 // --- Golden corpus: exact bytes out of the UDP/TCP translator -----------
@@ -416,14 +410,14 @@ TEST(NatGolden, RecordRouteFilledWhenHonored) {
     auto pkt = udp_packet(40000, 7000, {'r', 'r'});
     pkt.h.id = 0x1234;
     pkt.h.options = net::Ipv4Packet::make_record_route_option(4);
-    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+    EXPECT_EQ(wire(outbound(bed.nat, pkt)),
               "4a 00 00 32 12 34 00 00 3f 11 35 5f 0a 00 01 0a 0a 00 01 01 07 "
               "13 08 0a 00 01 0a 00 00 00 00 00 00 00 00 00 00 00 00 00 9c 40 "
               "1b 58 00 0a bf c4 72 72");
     auto reply = udp_reply(40000);
     reply.h.options = net::Ipv4Packet::make_record_route_option(4);
     bool handled = false;
-    EXPECT_EQ(wire(bed.nat.inbound(reply, handled)),
+    EXPECT_EQ(wire(inbound(bed.nat, reply, handled)),
               "4a 00 00 31 42 42 00 00 3f 11 4e 4f 0a 00 01 01 c0 a8 01 64 07 "
               "13 08 0a 00 01 0a 00 00 00 00 00 00 00 00 00 00 00 00 00 1b 58 "
               "9c 40 00 09 09 36 72");
@@ -435,7 +429,7 @@ TEST(NatGolden, RecordRouteUntouchedWhenIgnored) {
     auto pkt = udp_packet(40000, 7000, {'r', 'r'});
     pkt.h.id = 0x1234;
     pkt.h.options = net::Ipv4Packet::make_record_route_option(4);
-    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+    EXPECT_EQ(wire(outbound(bed.nat, pkt)),
               "4a 00 00 32 12 34 00 00 3f 11 43 6a 0a 00 01 0a 0a 00 01 01 07 "
               "13 04 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 9c 40 "
               "1b 58 00 0a bf c4 72 72");
@@ -446,7 +440,7 @@ TEST(NatGolden, NopEolOptionsCarriedVerbatim) {
     auto pkt = udp_packet(40000, 7000, {'o'});
     pkt.h.options = {net::ipopt::kNop, net::ipopt::kNop, net::ipopt::kNop,
                      net::ipopt::kEnd};
-    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+    EXPECT_EQ(wire(outbound(bed.nat, pkt)),
               "46 00 00 21 00 00 00 00 3f 11 62 c1 0a 00 01 0a 0a 00 01 01 01 "
               "01 01 00 9c 40 1b 58 00 09 c3 38 6f");
 
@@ -464,7 +458,7 @@ TEST(NatGolden, NopEolOptionsCarriedVerbatim) {
     seg.window = 8192;
     seg.add_mss_option(1460);
     syn.payload = seg.serialize(syn.h.src, syn.h.dst);
-    EXPECT_EQ(wire(bed.nat.outbound(syn)),
+    EXPECT_EQ(wire(outbound(bed.nat, syn)),
               "46 00 00 30 00 00 00 00 3f 06 63 be 0a 00 01 0a 0a 00 01 01 01 "
               "00 00 00 a0 28 00 50 01 02 03 04 00 00 00 00 60 02 20 00 bd 9d "
               "00 00 02 04 05 b4");
@@ -476,20 +470,20 @@ TEST(NatGolden, ShortUdpLengthTrimsTrailingBytes) {
     // Trailing bytes past the UDP length: not part of the datagram, so
     // they leave the translator trimmed off.
     pkt.payload.insert(pkt.payload.end(), {0xde, 0xad, 0xbe, 0xef});
-    EXPECT_EQ(wire(bed.nat.outbound(pkt)),
+    EXPECT_EQ(wire(outbound(bed.nat, pkt)),
               "45 00 00 1f 00 00 00 00 3f 11 65 c4 0a 00 01 0a 0a 00 01 01 9c "
               "40 1b 58 00 0b 6d d2 61 62 63");
 
     // A UDP length past the payload is malformed: dropped, no binding.
     auto bad = udp_packet(40001, 7000, {'a', 'b', 'c'});
     bad.payload.resize(bad.payload.size() - 2);
-    EXPECT_FALSE(bed.nat.outbound(bad).has_value());
+    EXPECT_FALSE(outbound(bed.nat, bad).has_value());
     EXPECT_EQ(bed.nat.udp_table().size(), 1u);
 }
 
 TEST(NatGolden, InboundTtlOneOnLiveBindingRefreshesAndRewrites) {
     NatBed bed;
-    ASSERT_TRUE(bed.nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound(bed.nat, udp_packet(40000, 7000)).has_value());
     bed.loop.run_for(std::chrono::seconds(5));
     auto reply = udp_reply(40000);
     reply.h.ttl = 1;
@@ -497,7 +491,7 @@ TEST(NatGolden, InboundTtlOneOnLiveBindingRefreshesAndRewrites) {
     // The engine translates (the caller turns TTL expiry into a Time
     // Exceeded that quotes the untouched packet); the binding is
     // refreshed by the inbound packet all the same.
-    EXPECT_EQ(wire(bed.nat.inbound(reply, handled)),
+    EXPECT_EQ(wire(inbound(bed.nat, reply, handled)),
               "45 00 00 1d 42 42 00 00 00 11 ab 81 0a 00 01 01 c0 a8 01 64 1b "
               "58 9c 40 00 09 09 36 72");
     EXPECT_TRUE(handled);
@@ -532,25 +526,29 @@ TEST(NatGolden, TcpHandshakeAndTeardownBytes) {
     };
     const FlowKey key{net::proto::kTcp, {kClient, 41000}, {kServer, 80}};
     bool handled = false;
-    EXPECT_EQ(wire(bed.nat.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.nat,
                   tcp(kClient, kServer, 41000, 80, {.syn = true}))),
               "45 00 00 29 00 00 00 00 3f 06 65 c5 0a 00 01 0a 0a 00 01 01 a0 "
               "28 00 50 00 00 03 e8 00 00 00 00 50 02 10 00 71 76 00 00 74");
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   tcp(kServer, kWan, 80, 41000, {.syn = true, .ack = true}),
                   handled)),
               "45 00 00 29 00 00 00 00 3f 06 ae c2 0a 00 01 01 c0 a8 01 64 00 "
               "50 a0 28 00 00 03 e8 00 00 07 d0 50 12 10 00 b2 93 00 00 74");
-    EXPECT_EQ(wire(bed.nat.outbound(
+    EXPECT_EQ(wire(outbound(
+                  bed.nat,
                   tcp(kClient, kServer, 41000, 80, {.ack = true}))),
               "45 00 00 29 00 00 00 00 3f 06 65 c5 0a 00 01 0a 0a 00 01 01 a0 "
               "28 00 50 00 00 03 e8 00 00 07 d0 50 10 10 00 69 98 00 00 74");
     EXPECT_TRUE(bed.nat.tcp_table().find_outbound(key)->established);
-    EXPECT_EQ(wire(bed.nat.outbound(tcp(kClient, kServer, 41000, 80,
+    EXPECT_EQ(wire(outbound(bed.nat, tcp(kClient, kServer, 41000, 80,
                                         {.ack = true, .fin = true}))),
               "45 00 00 29 00 00 00 00 3f 06 65 c5 0a 00 01 0a 0a 00 01 01 a0 "
               "28 00 50 00 00 03 e8 00 00 07 d0 50 11 10 00 69 97 00 00 74");
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   tcp(kServer, kWan, 80, 41000, {.ack = true, .fin = true}),
                   handled)),
               "45 00 00 29 00 00 00 00 3f 06 ae c2 0a 00 01 01 c0 a8 01 64 00 "
@@ -559,7 +557,8 @@ TEST(NatGolden, TcpHandshakeAndTeardownBytes) {
     ASSERT_NE(b, nullptr);
     EXPECT_TRUE(b->fin_in && b->fin_out);
     EXPECT_EQ(b->expires_at, bed.loop.now() + bed.profile.tcp_fin_linger);
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   tcp(kServer, kWan, 80, 41000, {.rst = true}), handled)),
               "45 00 00 29 00 00 00 00 3f 06 ae c2 0a 00 01 01 c0 a8 01 64 00 "
               "50 a0 28 00 00 03 e8 00 00 00 00 50 04 10 00 ba 71 00 00 74");
@@ -570,7 +569,7 @@ TEST(NatGolden, HairpinBytesAndSenderBinding) {
     auto profile = quick_profile();
     profile.hairpin = true;
     NatBed bed(profile);
-    ASSERT_TRUE(bed.nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound(bed.nat, udp_packet(40000, 7000)).has_value());
     net::Ipv4Packet probe;
     probe.h.protocol = net::proto::kUdp;
     probe.h.src = net::Ipv4Addr(192, 168, 1, 101);
@@ -581,7 +580,7 @@ TEST(NatGolden, HairpinBytesAndSenderBinding) {
     d.dst_port = 40000;
     d.payload = {'h', 'p'};
     probe.payload = d.serialize(probe.h.src, probe.h.dst);
-    EXPECT_EQ(wire(bed.nat.hairpin(probe)),
+    EXPECT_EQ(wire(hairpin(bed.nat, probe)),
               "45 00 00 1e 00 07 00 00 3f 11 ae b2 0a 00 01 0a c0 a8 01 64 9c "
               "41 9c 40 00 0a 91 d1 68 70");
     const Binding* sender = bed.nat.udp_table().find_outbound(FlowKey{
@@ -600,7 +599,7 @@ TEST(NatGolden, ZeroUdpChecksumStaysZero) {
     auto pkt = udp_packet(40000, 7000, {'z'});
     pkt.payload[6] = 0;
     pkt.payload[7] = 0;
-    const auto out = bed.nat.outbound(pkt);
+    const auto out = outbound(bed.nat, pkt);
     EXPECT_EQ(wire(out),
               "45 00 00 1d 00 00 00 00 3f 11 65 c6 0a 00 01 0a 0a 00 01 01 9c "
               "40 1b 58 00 09 00 00 7a");
@@ -623,7 +622,7 @@ TEST(NatEngine, FragmentsAreDroppedNotTranslated) {
     frag.h.frag_offset = 64; // mid-stream: the "header" is payload
     frag.payload = {0x12, 0x34, 0x1b, 0x58, 0x00, 0x10, 0x00, 0x00,
                     'p',  'a',  'y',  'l',  'o',  'a',  'd',  '!'};
-    EXPECT_FALSE(bed.nat.outbound(frag).has_value());
+    EXPECT_FALSE(outbound(bed.nat, frag).has_value());
     EXPECT_EQ(bed.nat.udp_table().size(), 0u);
 
     // First TCP fragment: a complete header, but only part of the data
@@ -640,16 +639,16 @@ TEST(NatEngine, FragmentsAreDroppedNotTranslated) {
     seg.payload.assign(64, 'x');
     first.payload = seg.serialize(first.h.src, first.h.dst);
     first.payload.resize(40);
-    EXPECT_FALSE(bed.nat.outbound(first).has_value());
+    EXPECT_FALSE(outbound(bed.nat, first).has_value());
     EXPECT_EQ(bed.nat.tcp_table().size(), 0u);
 
     // Inbound, a fragment aimed at a live binding's port is the NAT's to
     // drop, not the gateway stack's to parse.
-    ASSERT_TRUE(bed.nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound(bed.nat, udp_packet(40000, 7000)).has_value());
     auto reply = udp_reply(40000);
     reply.h.more_fragments = true;
     bool handled = false;
-    EXPECT_FALSE(bed.nat.inbound(reply, handled).has_value());
+    EXPECT_FALSE(inbound(bed.nat, reply, handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(bed.nat.udp_table().find_outbound(flow(40000))->packets_in,
               0u);
@@ -731,7 +730,7 @@ TEST(NatGolden, EchoOutAndReplyIn) {
                                                         {'p', 'i', 'n', 'g'}),
                             0x0101);
     echo.h.options = net::Ipv4Packet::make_record_route_option(2);
-    EXPECT_EQ(wire(bed.nat.outbound(echo)),
+    EXPECT_EQ(wire(outbound(bed.nat, echo)),
               "48 00 00 2c 01 01 00 00 3f 01 48 b0 0a 00 01 0a 0a 00 01 01 07 "
               "0b 08 0a 00 01 0a 00 00 00 00 00 08 00 06 fa 12 34 00 01 70 69 "
               "6e 67");
@@ -742,17 +741,17 @@ TEST(NatGolden, EchoOutAndReplyIn) {
                              net::IcmpMessage::make_echo(true, 0x1234, 1,
                                                          {'p', 'i', 'n', 'g'}),
                              0x0202);
-    EXPECT_EQ(wire(bed.nat.inbound(reply, handled)),
+    EXPECT_EQ(wire(inbound(bed.nat, reply, handled)),
               "45 00 00 20 02 02 00 00 3f 01 ac ce 0a 00 01 01 c0 a8 01 64 00 "
               "00 0e fa 12 34 00 01 70 69 6e 67");
     EXPECT_TRUE(handled);
     // A reply with an id no query used is the gateway's own.
     handled = true;
-    EXPECT_FALSE(bed.nat
-                     .inbound(icmp_packet(kServer, kWan,
-                                          net::IcmpMessage::make_echo(
-                                              true, 0x4321, 1)),
-                              handled)
+    EXPECT_FALSE(inbound(bed.nat,
+                         icmp_packet(kServer, kWan,
+                                     net::IcmpMessage::make_echo(
+                                         true, 0x4321, 1)),
+                         handled)
                      .has_value());
     EXPECT_FALSE(handled);
 }
@@ -796,18 +795,20 @@ TEST(NatGolden, InboundUdpAndTcpErrorsPerEmbeddedKnob) {
         NatBed bed(profile);
         // Empty UDP payload: the whole datagram, checksum included, sits
         // inside the 8-byte quote.
-        const auto udp_out = bed.nat.outbound(udp_packet(40000, 7000, {}));
+        const auto udp_out = outbound(bed.nat, udp_packet(40000, 7000, {}));
         ASSERT_TRUE(udp_out.has_value());
         bool handled = false;
-        EXPECT_EQ(wire(bed.nat.inbound(
+        EXPECT_EQ(wire(inbound(
+                      bed.nat,
                       error_to_wan(*udp_out, net::IcmpType::DestUnreachable,
                                    net::icmp_code::kPortUnreachable),
                       handled)),
                   c.udp);
         EXPECT_TRUE(handled);
-        const auto tcp_out = bed.nat.outbound(tcp_syn(41000));
+        const auto tcp_out = outbound(bed.nat, tcp_syn(41000));
         ASSERT_TRUE(tcp_out.has_value());
-        EXPECT_EQ(wire(bed.nat.inbound(
+        EXPECT_EQ(wire(inbound(
+                      bed.nat,
                       error_to_wan(*tcp_out, net::IcmpType::TimeExceeded,
                                    net::icmp_code::kTtlExceeded),
                       handled)),
@@ -821,11 +822,12 @@ TEST(NatGolden, ErrorAboutIcmpQuery) {
         auto profile = icmp_profile();
         profile.fix_embedded_ip_checksum = fix_ip;
         NatBed bed(profile);
-        const auto echo_out = bed.nat.outbound(icmp_packet(
+        const auto echo_out = outbound(bed.nat, icmp_packet(
             kClient, kServer, net::IcmpMessage::make_echo(false, 0x0777, 3)));
         ASSERT_TRUE(echo_out.has_value());
         bool handled = false;
-        EXPECT_EQ(wire(bed.nat.inbound(
+        EXPECT_EQ(wire(inbound(
+                      bed.nat,
                       error_to_wan(*echo_out, net::IcmpType::DestUnreachable,
                                    net::icmp_code::kHostUnreachable),
                       handled)),
@@ -843,15 +845,15 @@ TEST(NatGolden, ErrorAboutIcmpQuery) {
     auto profile = icmp_profile();
     profile.icmp_query_errors_translated = false;
     NatBed bed(profile);
-    const auto echo_out = bed.nat.outbound(icmp_packet(
+    const auto echo_out = outbound(bed.nat, icmp_packet(
         kClient, kServer, net::IcmpMessage::make_echo(false, 0x0777, 3)));
     ASSERT_TRUE(echo_out.has_value());
     bool handled = false;
-    EXPECT_FALSE(bed.nat
-                     .inbound(error_to_wan(*echo_out,
-                                           net::IcmpType::DestUnreachable,
-                                           net::icmp_code::kHostUnreachable),
-                              handled)
+    EXPECT_FALSE(inbound(bed.nat,
+                         error_to_wan(*echo_out,
+                                      net::IcmpType::DestUnreachable,
+                                      net::icmp_code::kHostUnreachable),
+                         handled)
                      .has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(bed.nat.stats().icmp_dropped, 1u);
@@ -863,13 +865,14 @@ TEST(NatGolden, ErrorAboutIcmpQuery) {
 // refused. Both now go by the same 60 s lifetime.
 TEST(NatGolden, ErrorAboutExpiredIcmpQueryIsNotRelayed) {
     NatBed bed(icmp_profile());
-    const auto echo_out = bed.nat.outbound(icmp_packet(
+    const auto echo_out = outbound(bed.nat, icmp_packet(
         kClient, kServer, net::IcmpMessage::make_echo(false, 0x0777, 3)));
     ASSERT_TRUE(echo_out.has_value());
     bed.loop.run_until(bed.loop.now() + std::chrono::seconds(600));
 
     bool handled = false;
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   error_to_wan(*echo_out, net::IcmpType::DestUnreachable,
                                net::icmp_code::kHostUnreachable),
                   handled)),
@@ -879,11 +882,11 @@ TEST(NatGolden, ErrorAboutExpiredIcmpQueryIsNotRelayed) {
     EXPECT_EQ(bed.nat.icmp_query_count(), 0u);
 
     handled = true;
-    EXPECT_FALSE(bed.nat
-                     .inbound(icmp_packet(kServer, kWan,
-                                          net::IcmpMessage::make_echo(
-                                              true, 0x0777, 3)),
-                              handled)
+    EXPECT_FALSE(inbound(bed.nat,
+                         icmp_packet(kServer, kWan,
+                                     net::IcmpMessage::make_echo(
+                                         true, 0x0777, 3)),
+                         handled)
                      .has_value());
     EXPECT_FALSE(handled);
 }
@@ -902,22 +905,22 @@ TEST(NatEngine, IcmpFragmentsAreDroppedNotTranslated) {
     frag.h.frag_offset = 100; // mid-stream: the "header" is data
     frag.payload = {0x08, 0x00, 0x00, 0x00, 0x12, 0x34, 0x00, 0x01,
                     'd',  'a',  't',  'a'};
-    EXPECT_FALSE(bed.nat.outbound(frag).has_value());
+    EXPECT_FALSE(outbound(bed.nat, frag).has_value());
     EXPECT_EQ(bed.nat.icmp_query_count(), 0u);
 
     // Inbound, a first fragment of a reply to a live query is the NAT's
     // to drop, not to relay.
-    ASSERT_TRUE(bed.nat
-                    .outbound(icmp_packet(kClient, kServer,
-                                          net::IcmpMessage::make_echo(
-                                              false, 0x1234, 1)))
+    ASSERT_TRUE(outbound(bed.nat,
+                         icmp_packet(kClient, kServer,
+                                     net::IcmpMessage::make_echo(
+                                         false, 0x1234, 1)))
                     .has_value());
     auto reply = icmp_packet(kServer, kWan,
                              net::IcmpMessage::make_echo(true, 0x1234, 1,
                                                          {'p', 'i', 'n', 'g'}));
     reply.h.more_fragments = true;
     bool handled = false;
-    EXPECT_FALSE(bed.nat.inbound(reply, handled).has_value());
+    EXPECT_FALSE(inbound(bed.nat, reply, handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(bed.nat.stats().dropped_policy, 2u);
 }
@@ -931,7 +934,7 @@ TEST(NatGolden, OutboundErrorCrossesWithOuterRewriteOnly) {
             net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable,
             0, udp_reply(40000).serialize()),
         0x0303);
-    EXPECT_EQ(wire(bed.nat.outbound(err)),
+    EXPECT_EQ(wire(outbound(bed.nat, err)),
               "45 00 00 38 03 03 00 00 3f 01 62 b8 0a 00 01 0a 0a 00 01 01 03 "
               "03 85 22 00 00 00 00 45 00 00 1d 42 42 00 00 40 11 22 84 0a 00 "
               "01 01 0a 00 01 0a 1b 58 9c 40 00 09 c0 38");
@@ -941,10 +944,11 @@ TEST(NatGolden, TcpErrorBecomesRst) {
     auto profile = icmp_profile();
     profile.tcp_icmp_becomes_rst = true;
     NatBed bed(profile);
-    const auto tcp_out = bed.nat.outbound(tcp_syn(41000));
+    const auto tcp_out = outbound(bed.nat, tcp_syn(41000));
     ASSERT_TRUE(tcp_out.has_value());
     bool handled = false;
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   error_to_wan(*tcp_out, net::IcmpType::DestUnreachable,
                                net::icmp_code::kPortUnreachable),
                   handled)),
@@ -962,13 +966,14 @@ TEST(NatGolden, TeardownAndRateLimitVerdicts) {
     profile.icmp_udp = IcmpTranslationSet::all().set(
         IcmpKind::HostUnreachable, false);
     NatBed bed(profile);
-    const auto a = bed.nat.outbound(udp_packet(40000, 7000, {}));
-    const auto b = bed.nat.outbound(udp_packet(40001, 7000, {}));
-    const auto c = bed.nat.outbound(udp_packet(40002, 7000, {}));
+    const auto a = outbound(bed.nat, udp_packet(40000, 7000, {}));
+    const auto b = outbound(bed.nat, udp_packet(40001, 7000, {}));
+    const auto c = outbound(bed.nat, udp_packet(40002, 7000, {}));
     ASSERT_TRUE(a && b && c);
     bool handled = false;
     // Relayed, then the binding is purged.
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   error_to_wan(*a, net::IcmpType::DestUnreachable,
                                net::icmp_code::kPortUnreachable),
                   handled)),
@@ -979,18 +984,18 @@ TEST(NatGolden, TeardownAndRateLimitVerdicts) {
     // Not relayed (the device does not translate Host Unreachable for
     // UDP), purged all the same.
     handled = false;
-    EXPECT_FALSE(bed.nat
-                     .inbound(error_to_wan(*b, net::IcmpType::DestUnreachable,
-                                           net::icmp_code::kHostUnreachable),
-                              handled)
+    EXPECT_FALSE(inbound(bed.nat,
+                         error_to_wan(*b, net::IcmpType::DestUnreachable,
+                                      net::icmp_code::kHostUnreachable),
+                         handled)
                      .has_value());
     EXPECT_TRUE(handled);
     // Third error in the same second: over budget, dropped unparsed.
     handled = false;
-    EXPECT_FALSE(bed.nat
-                     .inbound(error_to_wan(*c, net::IcmpType::DestUnreachable,
-                                           net::icmp_code::kPortUnreachable),
-                              handled)
+    EXPECT_FALSE(inbound(bed.nat,
+                         error_to_wan(*c, net::IcmpType::DestUnreachable,
+                                      net::icmp_code::kPortUnreachable),
+                         handled)
                      .has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(bed.nat.udp_table().size(), 1u);
@@ -1003,14 +1008,14 @@ TEST(NatGolden, TeardownAndRateLimitVerdicts) {
     auto strict = icmp_profile();
     strict.validate_embedded_binding = true;
     NatBed sbed(strict);
-    auto d = sbed.nat.outbound(udp_packet(40000, 7000, {}));
+    auto d = outbound(sbed.nat, udp_packet(40000, 7000, {}));
     ASSERT_TRUE(d.has_value());
     d->resize(24);
     handled = false;
-    EXPECT_FALSE(sbed.nat
-                     .inbound(error_to_wan(*d, net::IcmpType::DestUnreachable,
-                                           net::icmp_code::kPortUnreachable),
-                              handled)
+    EXPECT_FALSE(inbound(sbed.nat,
+                         error_to_wan(*d, net::IcmpType::DestUnreachable,
+                                      net::icmp_code::kPortUnreachable),
+                         handled)
                      .has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(sbed.nat.stats().icmp_quote_rejected, 1u);
@@ -1018,12 +1023,13 @@ TEST(NatGolden, TeardownAndRateLimitVerdicts) {
 
 TEST(NatGolden, UnclassifiedErrorCodeIsNotRelayed) {
     NatBed bed(icmp_profile());
-    const auto out = bed.nat.outbound(udp_packet(40000, 7000, {}));
+    const auto out = outbound(bed.nat, udp_packet(40000, 7000, {}));
     ASSERT_TRUE(out.has_value());
     bool handled = true;
     // Destination Unreachable code 13 (administratively prohibited) is
     // not one the translation sets name.
-    EXPECT_EQ(wire(bed.nat.inbound(
+    EXPECT_EQ(wire(inbound(
+                  bed.nat,
                   error_to_wan(*out, net::IcmpType::DestUnreachable, 13),
                   handled)),
               "<dropped>");
@@ -1035,12 +1041,12 @@ TEST(NatGolden, UnknownTransportPolicies) {
     auto ip_only = icmp_profile();
     ip_only.unknown_proto = UnknownProtocolPolicy::TranslateIpOnly;
     NatBed bed(ip_only);
-    EXPECT_EQ(wire(bed.nat.outbound(unknown_proto_packet(kClient, kServer))),
+    EXPECT_EQ(wire(outbound(bed.nat, unknown_proto_packet(kClient, kServer))),
               "45 00 00 1c 33 33 00 00 3f 21 32 84 0a 00 01 0a 0a 00 01 01 9c "
               "40 1b 58 05 00 ab cd");
     EXPECT_EQ(bed.nat.ip_only_count(), 1u);
     bool handled = false;
-    EXPECT_EQ(wire(bed.nat.inbound(unknown_proto_packet(kServer, kWan),
+    EXPECT_EQ(wire(inbound(bed.nat, unknown_proto_packet(kServer, kWan),
                                    handled)),
               "45 00 00 1c 33 33 00 00 3f 21 7b 81 0a 00 01 01 c0 a8 01 64 9c "
               "40 1b 58 05 00 ab cd");
@@ -1048,11 +1054,11 @@ TEST(NatGolden, UnknownTransportPolicies) {
 
     ip_only.unknown_proto_inbound_allowed = false;
     NatBed firewalled(ip_only);
-    ASSERT_TRUE(firewalled.nat.outbound(unknown_proto_packet(kClient, kServer))
+    ASSERT_TRUE(outbound(firewalled.nat, unknown_proto_packet(kClient, kServer))
                     .has_value());
     handled = false;
-    EXPECT_FALSE(firewalled.nat
-                     .inbound(unknown_proto_packet(kServer, kWan), handled)
+    EXPECT_FALSE(inbound(firewalled.nat, unknown_proto_packet(kServer, kWan),
+                         handled)
                      .has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(firewalled.nat.stats().dropped_policy, 1u);
@@ -1060,17 +1066,18 @@ TEST(NatGolden, UnknownTransportPolicies) {
     auto plain = icmp_profile();
     plain.unknown_proto = UnknownProtocolPolicy::Untranslated;
     NatBed router(plain);
-    EXPECT_EQ(wire(router.nat.outbound(unknown_proto_packet(kClient, kServer))),
+    EXPECT_EQ(wire(outbound(router.nat,
+                            unknown_proto_packet(kClient, kServer))),
               "45 00 00 1c 33 33 00 00 3f 21 7b 81 c0 a8 01 64 0a 00 01 01 9c "
               "40 1b 58 05 00 ab cd");
     handled = true;
-    EXPECT_FALSE(router.nat
-                     .inbound(unknown_proto_packet(kServer, kWan), handled)
-                     .has_value());
+    EXPECT_FALSE(
+        inbound(router.nat, unknown_proto_packet(kServer, kWan), handled)
+            .has_value());
     EXPECT_FALSE(handled);
 
     NatBed dropper(icmp_profile()); // UnknownProtocolPolicy::Drop
-    EXPECT_FALSE(dropper.nat.outbound(unknown_proto_packet(kClient, kServer))
+    EXPECT_FALSE(outbound(dropper.nat, unknown_proto_packet(kClient, kServer))
                      .has_value());
     EXPECT_EQ(dropper.nat.stats().dropped_policy, 1u);
 }
